@@ -23,9 +23,9 @@ from ..mutation import (
     Block,
     Collection,
     Move,
+    _replay,
     block_of_classes,
     certificate,
-    check_collection,
     collections_equal,
     parse_script,
     run_script,
@@ -33,10 +33,11 @@ from ..mutation import (
     subcategory_serre_matrix,
 )
 from ..textio import (
+    _names_of,
+    _parse_int,
     parse_divisor,
     parse_stanzas,
     parse_surface_spec,
-    render_kclass,
     stanza_single,
 )
 from .core import (
@@ -83,9 +84,9 @@ def _parse_object(surface: SurfaceModel, text: str, names) -> KClass:
             raise InputError(f"expected [rank; c1; chi], got {text!r}")
         return KClass(
             surface,
-            int(parts[0]),
+            _parse_int(parts[0]),
             parse_divisor(surface, parts[1], names),
-            int(parts[2]),
+            _parse_int(parts[2]),
         )
     raise InputError(f"cannot read object {text!r}")
 
@@ -95,7 +96,7 @@ def parse_side(surface: SurfaceModel, text: str, names) -> Collection:
     for chunk in text.split("|"):
         chunk = chunk.strip()
         if chunk.startswith("opq "):
-            specs.append(("opq", int(chunk.split()[1])))
+            specs.append(("opq", _parse_int(chunk[4:])))
         else:
             specs.append([_parse_object(surface, t, names) for t in chunk.split(",")])
     blocks: list[Block | None] = [
@@ -121,26 +122,21 @@ def _descriptor_for(case: str) -> LinkDescriptor:
     parts = case.split("-")
     kind = parts[0]
     if kind == "IV" and len(parts) == 2:
-        return LinkDescriptor("IV", (int(parts[1]),), "Curve")
+        return LinkDescriptor("IV", (_parse_int(parts[1]),), "Curve")
     if kind == "II" and len(parts) == 4 and parts[1] == "curve":
-        d = 4 if parts[2] == "gen" else int(parts[2])
-        n = int(parts[3])
+        d = 4 if parts[2] == "gen" else _parse_int(parts[2])
+        n = _parse_int(parts[3])
         return LinkDescriptor("II", (d, d - n, d), "Curve")
     if kind in ("I", "III") and len(parts) == 3:
-        return LinkDescriptor(kind, (int(parts[1]), int(parts[2])), "Point")
+        return LinkDescriptor(kind, (_parse_int(parts[1]), _parse_int(parts[2])), "Point")
     if kind == "II" and len(parts) == 4:
-        return LinkDescriptor("II", tuple(int(p) for p in parts[1:]), "Point")
+        return LinkDescriptor("II", tuple(_parse_int(p) for p in parts[1:]), "Point")
     raise InputError(f"cannot classify case name {case!r}")
 
 
 def _script_from_stanza(case: str, stanza, refinement: bool) -> LinkScript:
     roof = parse_surface_spec(stanza_single(stanza, "roof"))
-    names: dict[str, DivisorClass] = {}
-    for key in stanza:
-        if key.startswith("dict "):
-            names[key[5:].strip()] = parse_divisor(
-                roof, stanza_single(stanza, key), names
-            )
+    names = _names_of(roof, stanza)
     involution = None
     if "involution" in stanza:
         word = stanza_single(stanza, "involution")
@@ -207,23 +203,20 @@ def link_script(case: str) -> LinkScript:
 
 # -- verification -------------------------------------------------------------
 
-def _check_record(step: int, label: str, ok: bool, collection: Collection) -> dict:
-    report = check_collection(collection)
+def _check_record(step: int, label: str, ok: bool, last: dict) -> dict:
+    """A check on the final collection, shown with `last`, the replay's record of it."""
     return {
         "step": step,
         "move": label,
-        "blocks": [
-            {"opaque": b.opaque, "objects": [render_kclass(o.cls) for o in b.objects]}
-            for b in collection.blocks
-        ],
-        "gram": [list(row) for row in report.gram],
+        "blocks": last["blocks"],
+        "gram": last["gram"],
         "ok": ok,
     }
 
 
 def _parse_block_range(text: str) -> tuple[int, int]:
     a, _, b = text.partition("..")
-    return int(a), int(b)
+    return _parse_int(a), _parse_int(b)
 
 
 def _span_classes(collection: Collection, rng: tuple[int, int]) -> list[KClass]:
@@ -249,7 +242,7 @@ def _run_post(script: LinkScript, post: tuple[str, ...]) -> tuple[str, bool]:
     kind = post[0]
     if kind == "serre-inv":
         rng = _parse_block_range(post[1])
-        k = int(post[2].lstrip("^"))
+        k = _parse_int(post[2].lstrip("^"))
         serre = subcategory_serre_matrix(script.side1, rng)
         sigma = _matrix_on_span(script, _span_classes(script.side1, rng))
         ok = sigma is not None and intlinalg.mat_pow(serre, k) == intlinalg.mat_neg(
@@ -263,10 +256,10 @@ def _run_post(script: LinkScript, post: tuple[str, ...]) -> tuple[str, bool]:
         )
         return f"post sigma-dual {a} -> {b}", image == script.dictionary[b]
     if kind == "serre-match":
-        prefix = int(post[1])
+        prefix = _parse_int(post[1])
         rng_a = _parse_block_range(post[2])
         rng_b = _parse_block_range(post[3])
-        nmax = int(post[4])
+        nmax = _parse_int(post[4])
         partial, _ = run_script(script.side1, script.moves[:prefix], script.case)
         n = serre_power_match(partial, rng_a, script.side2, rng_b, nmax)
         return f"post serre-match {post[2]} vs {post[3]}", n is not None
@@ -277,7 +270,7 @@ def verify_link(case: str) -> dict:
     """Replay the stored script for `case` and return its certificate."""
     script = link_script(case)
     try:
-        final, steps = run_script(script.side1, script.moves, case)
+        final, steps, last = _replay(script.side1, script.moves, case)
     except VerificationError as exc:
         record = {
             "step": 0,
@@ -290,13 +283,13 @@ def verify_link(case: str) -> dict:
         return certificate(case, [record], VERDICT_FAIL)
     records = list(steps)
     ok = collections_equal(final, script.side2, "UpToSignAndBlockPerm")
-    records.append(_check_record(len(records) + 1, "compare final to far side", ok, final))
+    records.append(_check_record(len(records) + 1, "compare final to far side", ok, last))
     verdict_ok = ok
     for post in script.posts:
         try:
             label, passed = _run_post(script, post)
         except (InputError, VerificationError):
             label, passed = "post " + " ".join(post), False
-        records.append(_check_record(len(records) + 1, label, passed, final))
+        records.append(_check_record(len(records) + 1, label, passed, last))
         verdict_ok = verdict_ok and passed
     return certificate(case, records, VERDICT_OK if verdict_ok else VERDICT_FAIL)

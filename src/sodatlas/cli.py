@@ -46,8 +46,10 @@ from .errors import (
     VerificationError,
 )
 from .lattice import SurfaceModel
-from .mutation import VERDICT_OK, check_collection, parse_script, run_script
+from .mutation import VERDICT_OK, _replay, check_collection, parse_script
 from .textio import (
+    _names_of,
+    _parse_int,
     parse_divisor,
     parse_int_list,
     parse_matrix,
@@ -84,19 +86,9 @@ def _surface_of(stanza: dict[str, list[str]], path: str) -> SurfaceModel:
     return parse_surface_stanza(stanza)
 
 
-def _names_of(surface: SurfaceModel, stanza: dict[str, list[str]]):
-    names = {}
-    for key in stanza:
-        if key.startswith("dict "):
-            names[key[5:].strip()] = parse_divisor(
-                surface, stanza_single(stanza, key), names
-            )
-    return names
-
-
 def _fibre_space(surface: SurfaceModel, stanza: dict[str, list[str]], path: str) -> MoriFibreSpace:
     base = stanza_single(stanza, "over", "Point")
-    genus = int(stanza_single(stanza, "genus", "0"))
+    genus = _parse_int(stanza_single(stanza, "genus", "0"))
     fib = None
     if "fibre" in stanza:
         fib = parse_divisor(surface, stanza_single(stanza, "fibre"), _names_of(surface, stanza))
@@ -127,14 +119,15 @@ def _render_factors(factors) -> str:
     return " x ".join(f"Z/{f}" for f in factors)
 
 
+def _block_text(record) -> str:
+    text = ", ".join(record["objects"])
+    if record["opaque"]:
+        text += " (opaque)"
+    return text
+
+
 def _render_blocks_line(records) -> str:
-    parts = []
-    for record in records:
-        text = ", ".join(record["objects"])
-        if record["opaque"]:
-            text += " (opaque)"
-        parts.append(text)
-    return " | ".join(parts)
+    return " | ".join(_block_text(record) for record in records)
 
 
 def _print_gram(gram) -> None:
@@ -182,10 +175,7 @@ def _cmd_sod(args) -> int:
     print(f"surface: {surface.describe()}")
     print(f"over: {space.base}")
     for i, record in enumerate(_collection_records(coll), 1):
-        text = ", ".join(record["objects"])
-        if record["opaque"]:
-            text += " (opaque)"
-        print(f"block {i}: {text}")
+        print(f"block {i}: {_block_text(record)}")
     print("gram:")
     _print_gram(check_collection(coll).gram)
     return 0
@@ -198,13 +188,13 @@ def _cmd_mutate(args) -> int:
     coll = parse_side(surface, stanza_single(stanza, "blocks"), names)
     moves = parse_script(_read(args.script))
     print(f"start: {_render_blocks_line(_collection_records(coll))}")
-    final, steps = run_script(coll, moves, args.collection)
+    final, steps, last = _replay(coll, moves, args.collection)
     for record in steps:
         print(f"step {record['step']}: {record['move']}")
         print(f"  {_render_blocks_line(record['blocks'])}")
     print(f"final: {_render_blocks_line(_collection_records(final))}")
     print("gram:")
-    _print_gram(check_collection(final).gram)
+    _print_gram(last["gram"])
     return 0
 
 
@@ -293,7 +283,7 @@ def _cmd_invariant(args) -> int:
     steps = []
     for key, kind in (("blowup", "BlowUp"), ("blowdown", "BlowDown")):
         for text in stanza.get(key, []):
-            size = int(text)
+            size = _parse_int(text)
             if size < 1:
                 raise InputError(f"orbit size {size} must be positive")
             steps.append((kind, TransitiveGSet(size)))

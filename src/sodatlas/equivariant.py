@@ -70,14 +70,12 @@ class GroupAction:
     """Closed matrix group on the Picard lattice of one surface model.
 
     Built through :func:`group_action`, which checks the generators and
-    enumerates the closure; `orders` lists the multiplicative order of each
-    element, aligned with `elements`.
+    enumerates the closure.
     """
 
     surface: SurfaceModel
     generators: tuple[Matrix, ...]
     elements: tuple[Matrix, ...]
-    orders: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -85,17 +83,6 @@ class GroupAction:
 
     def identity(self) -> Matrix:
         return self.elements[0]
-
-    def element_order(self, mat) -> int:
-        mat = _freeze(mat)
-        one = self.identity()
-        p, k = mat, 1
-        while p != one:
-            p = _freeze(intlinalg.mat_mul(mat, p))
-            k += 1
-            if k > self.order:
-                raise ActionError("matrix is not an element of the closed group")
-        return k
 
 
 def group_action(surface: SurfaceModel, generators, cap: int = DEFAULT_CLOSURE_CAP) -> GroupAction:
@@ -114,15 +101,7 @@ def group_action(surface: SurfaceModel, generators, cap: int = DEFAULT_CLOSURE_C
             raise ActionError("generator moves the canonical class")
         frozen.append(g)
     elements = _close(frozen, cap) if frozen else (_identity(n),)
-    one = elements[0]
-    orders = []
-    for m in elements:
-        p, k = m, 1
-        while p != one:
-            p = _freeze(intlinalg.mat_mul(m, p))
-            k += 1
-        orders.append(k)
-    return GroupAction(surface, tuple(frozen), elements, tuple(orders))
+    return GroupAction(surface, tuple(frozen), elements)
 
 
 # -- fixed sublattice and orbits ----------------------------------------------

@@ -91,10 +91,6 @@ def det(a) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def is_unimodular(a) -> bool:
-    return len(a) == len(a[0]) and abs(det(a)) == 1 if a else True
-
-
 def mat_inverse_fraction(a) -> list[list[Fraction]]:
     """Gauss-Jordan inverse over Fraction; raises ValueError when singular."""
     n = len(a)

@@ -264,28 +264,3 @@ def _vectors_with_sum_and_square(n: int, s: int, q: int) -> Iterator[tuple[int, 
         for rest in _vectors_with_sum_and_square(n - 1, s - b, q - b * b):
             yield (b,) + rest
 
-
-# -- operation-style wrappers -------------------------------------------------
-
-def intersect(surface: SurfaceModel, a: DivisorClass, b: DivisorClass) -> int:
-    return surface.intersect(a, b)
-
-
-def canonical_class(surface: SurfaceModel) -> DivisorClass:
-    return surface.canonical
-
-
-def r_class_value(surface: SurfaceModel, d: DivisorClass) -> int | None:
-    return surface.r_class_value(d)
-
-
-def enumerate_r_classes(surface: SurfaceModel, r: int) -> set[DivisorClass]:
-    return surface.enumerate_r_classes(r)
-
-
-def dual_class(surface: SurfaceModel, d: DivisorClass, mode: DualMode = "AntiCanonical") -> DivisorClass:
-    return surface.dual_class(d, mode)
-
-
-def blow_up(surface: SurfaceModel, orbit_size: int) -> SurfaceModel:
-    return surface.blow_up(orbit_size)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from . import intlinalg
 from .errors import InputError, MoveError, VerificationError
-from .ktheory import KClass, euler_pairing, twist
+from .ktheory import KClass, euler_pairing, mutate_class, twist
 from .lattice import SurfaceModel
 from .textio import render_kclass
 
@@ -68,10 +68,6 @@ class Collection:
 
     def classes(self) -> tuple[KClass, ...]:
         return tuple(o.cls for b in self.blocks for o in b.objects)
-
-    @property
-    def num_objects(self) -> int:
-        return sum(b.size for b in self.blocks)
 
 
 def block_of_classes(classes, opaque: bool = False, labels=None) -> Block:
@@ -235,14 +231,13 @@ def _relabel(cls: KClass) -> ExcObject:
 def _mutate_block(moving: Block, through: Block, side: str) -> Block:
     if through.opaque:
         raise MoveError("cannot mutate through an opaque block")
+    # One object at a time equals the one-shot projection because a non-opaque
+    # block is pairwise orthogonal; the post-move check rejects one that is not.
     new = []
     for obj in moving.objects:
         cls = obj.cls
         for e in through.objects:
-            if side == "Left":
-                cls = cls - euler_pairing(e.cls, obj.cls) * e.cls
-            else:
-                cls = cls - euler_pairing(obj.cls, e.cls) * e.cls
+            cls = mutate_class(e.cls, cls, side)
         new.append(_relabel(cls))
     return Block(tuple(new), opaque=moving.opaque)
 
@@ -273,9 +268,9 @@ def subcategory_serre_matrix(collection: Collection, rng: tuple[int, int] | None
     return intlinalg.mat_mul(inv, intlinalg.transpose(gram))
 
 
-def apply_move(collection: Collection, move: Move) -> Collection:
-    """One move; raises MoveError on a violated precondition and
-    VerificationError if the rewritten collection fails check_collection."""
+def _step(collection: Collection, move: Move) -> tuple[Collection, CheckReport]:
+    """One move and the check report of the collection it produces; the only
+    place a produced collection is checked."""
     blocks = list(collection.blocks)
     n = len(blocks)
     k = move.kind
@@ -364,7 +359,14 @@ def apply_move(collection: Collection, move: Move) -> Collection:
         + ": "
         + "; ".join(report.violations)
         )
-    return out
+    return out, report
+
+
+def apply_move(collection: Collection, move: Move) -> Collection:
+    """One move; raises MoveError on a violated precondition and
+    VerificationError if the rewritten collection fails check_collection.
+    The produced collection is checked once, inside the move step."""
+    return _step(collection, move)[0]
 
 
 # -- comparison -----------------------------------------------------------
@@ -434,36 +436,48 @@ def _render_blocks(collection: Collection) -> list[dict]:
     return out
 
 
-def run_script(collection: Collection, moves, case: str = ""):
-    """Replay `moves`, checking legality after every step.  Returns the
-    final collection and one record per step (move, resulting blocks, Gram
-    matrix).  Raises VerificationError naming the first bad step."""
-    steps = []
-    current = collection
-    start = check_collection(current)
+def _record(step: int, label: str, collection: Collection, report: CheckReport) -> dict:
+    return {
+        "step": step,
+        "move": label,
+        "blocks": _render_blocks(collection),
+        "gram": [list(row) for row in report.gram],
+        "ok": report.ok,
+    }
+
+
+def _replay(collection: Collection, moves, case: str = ""):
+    """run_script plus the record of the final collection: the last step's
+    record, or a step-0 record of the start check when `moves` is empty."""
+    start = check_collection(collection)
     if not start.ok:
         raise VerificationError(
             f"{case or 'script'}: starting collection is not semi-orthogonal: "
             + "; ".join(start.violations)
         )
+    steps = []
+    current = collection
     for idx, move in enumerate(moves, 1):
         try:
-            current = apply_move(current, move)
+            current, report = _step(current, move)
         except (MoveError, VerificationError) as exc:
             raise VerificationError(
                 f"{case or 'script'}: step {idx} ({render_move(move)}) failed: {exc}"
             ) from exc
-        report = check_collection(current)
-        steps.append(
-            {
-                "step": idx,
-                "move": render_move(move),
-                "blocks": _render_blocks(current),
-                "gram": [list(row) for row in report.gram],
-                "ok": report.ok,
-            }
-        )
-    return current, steps
+        steps.append(_record(idx, render_move(move), current, report))
+    last = steps[-1] if steps else _record(0, "start", collection, start)
+    return current, steps, last
+
+
+def run_script(collection: Collection, moves, case: str = ""):
+    """Replay `moves`, checking legality after every step.  Returns the
+    final collection and one record per step (move, resulting blocks, Gram
+    matrix).  Raises VerificationError naming the first bad step.
+
+    The start collection is checked once here; each collection a move
+    produces is checked once, inside the move step, and its record reuses
+    that report's Gram matrix."""
+    return _replay(collection, moves, case)[:2]
 
 
 def certificate(case: str, steps, verdict: str) -> dict:

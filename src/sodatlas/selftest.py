@@ -28,11 +28,17 @@ from .catalog.core import (
     MoriFibreSpace,
     apply_divisor_matrix,
     e_bundle_class,
-    sigma_kclass,
     standard_sod,
     validate_link,
 )
-from .catalog.scripts import catalog_ids, link_script, verify_link
+from .catalog.scripts import (
+    _matrix_on_span,
+    _parse_block_range,
+    _span_classes,
+    catalog_ids,
+    link_script,
+    verify_link,
+)
 from .equivariant import (
     burnside_invariant,
     group_action,
@@ -54,6 +60,7 @@ from .ktheory import (
     twist,
 )
 from .lattice import SurfaceModel
+from .textio import _parse_int
 from .mutation import (
     VERDICT_OK,
     Move,
@@ -146,24 +153,6 @@ def criterion_2() -> str:
 
 # -- 3: Serre powers against the stored involutions ---------------------------
 
-def _block_range(text: str) -> tuple[int, int]:
-    a, _, b = text.partition("..")
-    return int(a), int(b)
-
-
-def _span_matrix(script, rng: tuple[int, int]):
-    a, b = rng
-    classes = [o.cls for blk in script.side1.blocks[a - 1 : b] for o in blk.objects]
-    basis_t = intlinalg.transpose([list(c.vector) for c in classes])
-    cols = []
-    for c in classes:
-        col = intlinalg.solve(basis_t, list(sigma_kclass(c, script.involution).vector))
-        if col is None:
-            return None
-        cols.append(col)
-    return intlinalg.transpose(cols)
-
-
 def criterion_3() -> str:
     """Serre power = minus the involution on the complement of O, fibre
     classes exchanged on the rank-change links, and a finite Serre power
@@ -173,12 +162,12 @@ def criterion_3() -> str:
         script = link_script(case)
         for post in script.posts:
             if post[0] == "serre-inv":
-                rng = _block_range(post[1])
-                k = int(post[2].lstrip("^"))
+                rng = _parse_block_range(post[1])
+                k = _parse_int(post[2].lstrip("^"))
                 want = 3 if script.roof.degree == 1 else 2
                 _ensure(k == want, f"{case}: power {k} on a degree-{script.roof.degree} roof")
                 serre = subcategory_serre_matrix(script.side1, rng)
-                sigma = _span_matrix(script, rng)
+                sigma = _matrix_on_span(script, _span_classes(script.side1, rng))
                 _ensure(sigma is not None, f"{case}: involution does not preserve the span")
                 _ensure(
                     intlinalg.mat_pow(serre, k) == intlinalg.mat_neg(sigma),
@@ -195,9 +184,9 @@ def criterion_3() -> str:
                 )
                 seen["dual"] += 1
             elif post[0] == "serre-match":
-                prefix = int(post[1])
-                rng_a = _block_range(post[2])
-                rng_b = _block_range(post[3])
+                prefix = _parse_int(post[1])
+                rng_a = _parse_block_range(post[2])
+                rng_b = _parse_block_range(post[3])
                 partial, _ = run_script(script.side1, script.moves[:prefix], case)
                 n = serre_power_match(partial, rng_a, script.side2, rng_b, 12)
                 _ensure(

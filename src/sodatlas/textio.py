@@ -91,10 +91,6 @@ def render_kclass(a: KClass) -> str:
     return f"({a.rank}; {c1}; {a.chi})"
 
 
-def render_kclass_pretty(a: KClass) -> str:
-    return f"({a.rank}; {render_divisor(a.surface, a.c1)}; {a.chi})"
-
-
 # -- stanza files --------------------------------------------------------------
 
 _SECTION_RE = re.compile(r"^\[(?P<kind>[A-Za-z][A-Za-z0-9_-]*)(?:\s+\"(?P<name>[^\"]*)\")?\]$")
@@ -134,6 +130,24 @@ def stanza_single(stanza: dict[str, list[str]], key: str, default: str | None = 
     if len(values) > 1:
         raise InputError(f"key {key!r} given {len(values)} times, expected once")
     return values[0]
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"expected an integer, got {text!r}") from None
+
+
+def _names_of(surface: SurfaceModel, stanza: dict[str, list[str]]) -> dict[str, DivisorClass]:
+    """The `dict <name> = <divisor>` aliases of a stanza, each over the earlier ones."""
+    names: dict[str, DivisorClass] = {}
+    for key in stanza:
+        if key.startswith("dict "):
+            names[key[5:].strip()] = parse_divisor(
+                surface, stanza_single(stanza, key), names
+            )
+    return names
 
 
 def parse_int_list(text: str) -> list[int]:

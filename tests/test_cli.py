@@ -256,6 +256,32 @@ def test_invariant_rejects_nonpositive_size(tmp_path, capsys):
     assert code == 2 and "positive" in err
 
 
+# -- malformed integers ----------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "command, flag, section, line",
+    [
+        ("sod", "--surface", "surface", "model = P2[3]\ngenus = abc"),
+        ("invariant", "--steps", "steps", "blowup = x"),
+        ("mutate", "--collection", "collection", "model = P2\nblocks = opq x | O"),
+        ("mutate", "--collection", "collection", "model = P2\nblocks = [a; H; 1] | O"),
+    ],
+    ids=["sod-genus", "invariant-blowup", "mutate-opaque-size", "mutate-object-rank"],
+)
+def test_malformed_integer_exits_two(tmp_path, capsys, command, flag, section, line):
+    f = tmp_path / "input.cfg"
+    f.write_text(f"[{section}]\n{line}\n")
+    script = tmp_path / "script.txt"
+    script.write_text("")
+    argv = [command, flag, str(f)]
+    if command == "mutate":
+        argv += ["--script", str(script)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 # -- profile ---------------------------------------------------------------------
 
 def test_profile_on_the_bundled_data(capsys):
