@@ -17,7 +17,7 @@ from math import prod
 
 from .equivariant import Atom, opaque_atom
 from .errors import InputError
-from .textio import parse_stanzas
+from .textio import _parse_int, parse_stanzas, stanza_single
 
 TRIVIAL_LABEL = "0"
 
@@ -134,7 +134,6 @@ def dp6_consistency(profile: AtomProfile) -> list[str]:
 # -- profile files ---------------------------------------------------------------
 
 _PROFILE_KINDS = ("profile", "atoms")
-_CONTROL_KEYS = ("am", "ind")
 
 
 def _parse_atom_value(text: str) -> SmallAtom:
@@ -173,11 +172,9 @@ def parse_profile_stanza(stanza: dict[str, list[str]]) -> AtomProfile:
     am = ind = None
     for key, values in stanza.items():
         if key == "am":
-            (text,) = values
-            am = int(text)
+            am = _parse_int(stanza_single(stanza, key))
         elif key == "ind":
-            (text,) = values
-            ind = int(text)
+            ind = _parse_int(stanza_single(stanza, key))
         elif key == "opaque":
             atoms.extend(_parse_opaque_value(v) for v in values)
         else:

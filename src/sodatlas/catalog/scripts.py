@@ -23,12 +23,13 @@ from ..mutation import (
     Block,
     Collection,
     Move,
+    _parse_serre_power,
+    _record,
     _replay,
     block_of_classes,
     certificate,
     collections_equal,
     parse_script,
-    run_script,
     serre_power_match,
     subcategory_serre_matrix,
 )
@@ -53,6 +54,24 @@ from .core import (
 
 _DATA_FILES = ("links.cfg", "refinements.cfg")
 _INVOLUTION_DEGREES = {"bertini": 1, "geiser": 2}
+_POST_ARITY = {"serre-inv": 2, "sigma-dual": 2, "serre-match": 4}
+
+
+@dataclass(frozen=True)
+class PostCheck:
+    """One `post =` line, parsed at catalog load.
+
+    serre-inv a..b ^k: rng, power.  sigma-dual n1 n2: names.
+    serre-match p a..b c..d N: prefix p, rng a..b after p moves, far c..d
+    on side2, power N (the bound on |N|)."""
+
+    kind: str
+    label: str
+    rng: tuple[int, int] = (0, 0)
+    power: int = 0
+    prefix: int = 0
+    far: tuple[int, int] = (0, 0)
+    names: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +84,7 @@ class LinkScript:
     side2: Collection
     moves: tuple[Move, ...]
     involution: tuple[tuple[int, ...], ...] | None
-    posts: tuple[tuple[str, ...], ...]
+    posts: tuple[PostCheck, ...]
 
 
 # -- stanza parsing -----------------------------------------------------------
@@ -134,6 +153,49 @@ def _descriptor_for(case: str) -> LinkDescriptor:
     raise InputError(f"cannot classify case name {case!r}")
 
 
+def _parse_block_range(text: str) -> tuple[int, int]:
+    a, sep, b = text.partition("..")
+    if not sep:
+        raise InputError(f"expected a block range a..b, got {text!r}")
+    rng = _parse_int(a), _parse_int(b)
+    if not 1 <= rng[0] <= rng[1]:
+        raise InputError(f"block range {text!r} needs 1 <= a <= b")
+    return rng
+
+
+def _parse_post(text: str, num_moves: int, names, has_involution: bool) -> PostCheck:
+    kind, *args = text.split() or [""]
+    if kind not in _POST_ARITY:
+        raise InputError(f"unknown post check {kind!r}")
+    if len(args) != _POST_ARITY[kind]:
+        raise InputError(f"post {kind} takes {_POST_ARITY[kind]} arguments, got {text!r}")
+    if kind == "serre-match":
+        prefix = _parse_int(args[0])
+        if not 0 <= prefix <= num_moves:
+            raise InputError(f"serre-match prefix {prefix} is outside 0..{num_moves}")
+        return PostCheck(
+            kind,
+            f"post serre-match {args[1]} vs {args[2]}",
+            prefix=prefix,
+            rng=_parse_block_range(args[1]),
+            far=_parse_block_range(args[2]),
+            power=_parse_serre_power(args[3]),
+        )
+    if not has_involution:
+        raise InputError(f"post {kind} needs an involution = line")
+    if kind == "serre-inv":
+        if not args[1].startswith("^"):
+            raise InputError(f"expected a Serre exponent ^k, got {args[1]!r}")
+        power = _parse_serre_power(args[1][1:])
+        return PostCheck(
+            kind, f"post serre-inv {args[0]} ^{power}", rng=_parse_block_range(args[0]), power=power
+        )
+    for name in args:
+        if name not in names:
+            raise InputError(f"sigma-dual name {name!r} has no dict line")
+    return PostCheck(kind, f"post sigma-dual {args[0]} -> {args[1]}", names=tuple(args))
+
+
 def _script_from_stanza(case: str, stanza, refinement: bool) -> LinkScript:
     roof = parse_surface_spec(stanza_single(stanza, "roof"))
     names = _names_of(roof, stanza)
@@ -162,7 +224,13 @@ def _script_from_stanza(case: str, stanza, refinement: bool) -> LinkScript:
         if not validate_link(descriptor):
             raise InputError(f"{case}: outside the numerical classification")
     moves = parse_script(stanza_single(stanza, "moves"))
-    posts = tuple(tuple(p.split()) for p in stanza.get("post", ()))
+    try:
+        posts = tuple(
+            _parse_post(p, len(moves), names, involution is not None)
+            for p in stanza.get("post", ())
+        )
+    except InputError as exc:
+        raise InputError(f"{case}: {exc}") from None
     return LinkScript(
         case=case,
         descriptor=descriptor,
@@ -203,22 +271,6 @@ def link_script(case: str) -> LinkScript:
 
 # -- verification -------------------------------------------------------------
 
-def _check_record(step: int, label: str, ok: bool, last: dict) -> dict:
-    """A check on the final collection, shown with `last`, the replay's record of it."""
-    return {
-        "step": step,
-        "move": label,
-        "blocks": last["blocks"],
-        "gram": last["gram"],
-        "ok": ok,
-    }
-
-
-def _parse_block_range(text: str) -> tuple[int, int]:
-    a, _, b = text.partition("..")
-    return _parse_int(a), _parse_int(b)
-
-
 def _span_classes(collection: Collection, rng: tuple[int, int]) -> list[KClass]:
     a, b = rng
     return [o.cls for blk in collection.blocks[a - 1 : b] for o in blk.objects]
@@ -238,39 +290,27 @@ def _matrix_on_span(script: LinkScript, classes) -> list[list[int]] | None:
     return intlinalg.transpose(cols)
 
 
-def _run_post(script: LinkScript, post: tuple[str, ...]) -> tuple[str, bool]:
-    kind = post[0]
-    if kind == "serre-inv":
-        rng = _parse_block_range(post[1])
-        k = _parse_int(post[2].lstrip("^"))
-        serre = subcategory_serre_matrix(script.side1, rng)
-        sigma = _matrix_on_span(script, _span_classes(script.side1, rng))
-        ok = sigma is not None and intlinalg.mat_pow(serre, k) == intlinalg.mat_neg(
-            sigma
-        )
-        return f"post serre-inv {post[1]} ^{k}", ok
-    if kind == "sigma-dual":
-        a, b = post[1], post[2]
-        image = apply_divisor_matrix(
-            script.roof, script.involution, script.dictionary[a]
-        )
-        return f"post sigma-dual {a} -> {b}", image == script.dictionary[b]
-    if kind == "serre-match":
-        prefix = _parse_int(post[1])
-        rng_a = _parse_block_range(post[2])
-        rng_b = _parse_block_range(post[3])
-        nmax = _parse_int(post[4])
-        partial, _ = run_script(script.side1, script.moves[:prefix], script.case)
-        n = serre_power_match(partial, rng_a, script.side2, rng_b, nmax)
-        return f"post serre-match {post[2]} vs {post[3]}", n is not None
-    raise InputError(f"{script.case}: unknown post check {kind!r}")
+def _run_post(script: LinkScript, post: PostCheck, states) -> bool:
+    """`states` holds the collections the replay passed through, side1 first."""
+    if post.kind == "serre-inv":
+        serre = subcategory_serre_matrix(script.side1, post.rng)
+        sigma = _matrix_on_span(script, _span_classes(script.side1, post.rng))
+        if sigma is None:
+            return False
+        return intlinalg.mat_pow(serre, post.power) == intlinalg.mat_neg(sigma)
+    if post.kind == "sigma-dual":
+        a, b = post.names
+        image = apply_divisor_matrix(script.roof, script.involution, script.dictionary[a])
+        return image == script.dictionary[b]
+    n = serre_power_match(states[post.prefix], post.rng, script.side2, post.far, post.power)
+    return n is not None
 
 
 def verify_link(case: str) -> dict:
     """Replay the stored script for `case` and return its certificate."""
     script = link_script(case)
     try:
-        final, steps, last = _replay(script.side1, script.moves, case)
+        states, steps = _replay(script.side1, script.moves, case)
     except VerificationError as exc:
         record = {
             "step": 0,
@@ -281,15 +321,16 @@ def verify_link(case: str) -> dict:
             "error": str(exc),
         }
         return certificate(case, [record], VERDICT_FAIL)
+    final = states[-1]
     records = list(steps)
     ok = collections_equal(final, script.side2, "UpToSignAndBlockPerm")
-    records.append(_check_record(len(records) + 1, "compare final to far side", ok, last))
+    records.append(_record(len(records) + 1, "compare final to far side", final, ok))
     verdict_ok = ok
     for post in script.posts:
         try:
-            label, passed = _run_post(script, post)
-        except (InputError, VerificationError):
-            label, passed = "post " + " ".join(post), False
-        records.append(_check_record(len(records) + 1, label, passed, last))
+            passed = _run_post(script, post, states)
+        except InputError:
+            passed = False
+        records.append(_record(len(records) + 1, post.label, final, passed))
         verdict_ok = verdict_ok and passed
     return certificate(case, records, VERDICT_OK if verdict_ok else VERDICT_FAIL)

@@ -46,7 +46,7 @@ from .errors import (
     VerificationError,
 )
 from .lattice import SurfaceModel
-from .mutation import VERDICT_OK, _replay, check_collection, parse_script
+from .mutation import VERDICT_OK, parse_script, run_script
 from .textio import (
     _names_of,
     _parse_int,
@@ -177,7 +177,7 @@ def _cmd_sod(args) -> int:
     for i, record in enumerate(_collection_records(coll), 1):
         print(f"block {i}: {_block_text(record)}")
     print("gram:")
-    _print_gram(check_collection(coll).gram)
+    _print_gram(coll.gram)
     return 0
 
 
@@ -188,13 +188,13 @@ def _cmd_mutate(args) -> int:
     coll = parse_side(surface, stanza_single(stanza, "blocks"), names)
     moves = parse_script(_read(args.script))
     print(f"start: {_render_blocks_line(_collection_records(coll))}")
-    final, steps, last = _replay(coll, moves, args.collection)
+    final, steps = run_script(coll, moves, args.collection)
     for record in steps:
         print(f"step {record['step']}: {record['move']}")
         print(f"  {_render_blocks_line(record['blocks'])}")
     print(f"final: {_render_blocks_line(_collection_records(final))}")
     print("gram:")
-    _print_gram(last["gram"])
+    _print_gram(final.gram)
     return 0
 
 

@@ -13,15 +13,20 @@ import os
 import re
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
+from math import isqrt
 
 from . import intlinalg
 from .errors import InputError, MoveError, VerificationError
 from .ktheory import KClass, euler_pairing, mutate_class, twist
 from .lattice import SurfaceModel
-from .textio import render_kclass
+from .textio import _parse_int, render_kclass
 
 DEPTH_ENV = "SODATLAS_DEPTH"
 DEFAULT_SEARCH_DEPTH = 8
+# Largest |n| in `serre a..b ^n`; the catalog uses |n| <= 3 and
+# serre_power_match searches |N| <= 12.
+MAX_SERRE_POWER = 64
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,20 @@ class Collection:
     def classes(self) -> tuple[KClass, ...]:
         return tuple(o.cls for b in self.blocks for o in b.objects)
 
+    @cached_property
+    def _pairings(self) -> tuple[int, ...]:
+        """chi(x, y) over the listed objects, row by row, computed once; kept
+        flat because a tuple of row tuples takes about twice the memory."""
+        classes = self.classes()
+        return tuple(euler_pairing(x, y) for x in classes for y in classes)
+
+    @property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """Gram matrix of the Euler pairing over the listed objects."""
+        flat = self._pairings
+        n = isqrt(len(flat))
+        return tuple(flat[i * n : (i + 1) * n] for i in range(n))
+
 
 def block_of_classes(classes, opaque: bool = False, labels=None) -> Block:
     objs = []
@@ -97,15 +116,6 @@ class CheckReport:
     violations: tuple[str, ...]
 
 
-def _block_index(collection: Collection, flat: int) -> int:
-    seen = 0
-    for bi, b in enumerate(collection.blocks):
-        seen += b.size
-        if flat < seen:
-            return bi
-    raise IndexError(flat)
-
-
 def check_collection(collection: Collection) -> CheckReport:
     """Gram matrix plus the list of violated constraints.
 
@@ -117,11 +127,9 @@ def check_collection(collection: Collection) -> CheckReport:
     """
     objs = collection.objects()
     n = len(objs)
-    gram = tuple(
-        tuple(euler_pairing(a.cls, b.cls) for b in objs) for a in objs
-    )
+    gram = collection.gram
     violations: list[str] = []
-    owner = [_block_index(collection, i) for i in range(n)]
+    owner = [bi for bi, b in enumerate(collection.blocks) for _ in b.objects]
     for i in range(n):
         for j in range(n):
             bi, bj = owner[i], owner[j]
@@ -185,14 +193,22 @@ def parse_move(text: str) -> Move:
         if not m:
             continue
         if kind in ("L", "R", "swap", "merge"):
-            return Move(kind, index=int(m.group(1)))
+            return Move(kind, index=_parse_int(m.group(1)))
         if kind in ("helix-", "helix+"):
             return Move(kind)
         if kind == "split":
-            sizes = tuple(int(x) for x in m.group(2).split())
-            return Move(kind, index=int(m.group(1)), sizes=sizes)
-        return Move(kind, rng=(int(m.group(1)), int(m.group(2))), power=int(m.group(3)))
+            sizes = tuple(_parse_int(x) for x in m.group(2).split())
+            return Move(kind, index=_parse_int(m.group(1)), sizes=sizes)
+        rng = (_parse_int(m.group(1)), _parse_int(m.group(2)))
+        return Move(kind, rng=rng, power=_parse_serre_power(m.group(3)))
     raise InputError(f"cannot parse move {text!r}")
+
+
+def _parse_serre_power(text: str) -> int:
+    n = _parse_int(text)
+    if abs(n) > MAX_SERRE_POWER:
+        raise InputError(f"Serre exponent {text} is above the cap |n| <= {MAX_SERRE_POWER}")
+    return n
 
 
 def render_move(move: Move) -> str:
@@ -242,12 +258,17 @@ def _mutate_block(moving: Block, through: Block, side: str) -> Block:
     return Block(tuple(new), opaque=moving.opaque)
 
 
-def _orthogonal_blocks(a: Block, b: Block) -> bool:
-    return all(
-        euler_pairing(x.cls, y.cls) == 0 and euler_pairing(y.cls, x.cls) == 0
-        for x in a.objects
-        for y in b.objects
-    )
+def _flat_span(collection: Collection, a: int, b: int) -> range:
+    """Positions in the object list of blocks a..b (1-based, inclusive)."""
+    start = sum(blk.size for blk in collection.blocks[: a - 1])
+    return range(start, start + sum(blk.size for blk in collection.blocks[a - 1 : b]))
+
+
+def _orthogonal_blocks(collection: Collection, index: int) -> bool:
+    """Blocks index, index+1 (1-based): both off-diagonal Gram sub-blocks vanish."""
+    gram = collection.gram
+    first, second = (_flat_span(collection, i, i) for i in (index, index + 1))
+    return all(gram[i][j] == 0 and gram[j][i] == 0 for i in first for j in second)
 
 
 def subcategory_serre_matrix(collection: Collection, rng: tuple[int, int] | None = None):
@@ -260,17 +281,16 @@ def subcategory_serre_matrix(collection: Collection, rng: tuple[int, int] | None
     a, b = rng
     if not (1 <= a <= b <= len(blocks)):
         raise InputError(f"block range {a}..{b} out of bounds")
-    classes = [o.cls for blk in blocks[a - 1 : b] for o in blk.objects]
-    gram = [[euler_pairing(x, y) for y in classes] for x in classes]
+    span, full = _flat_span(collection, a, b), collection.gram
+    gram = [list(full[i][span.start : span.stop]) for i in span]
     if intlinalg.det(gram) not in (1, -1):
         raise InputError("subcategory Gram matrix is not unimodular")
     inv = intlinalg.mat_inverse_integer(gram)
     return intlinalg.mat_mul(inv, intlinalg.transpose(gram))
 
 
-def _step(collection: Collection, move: Move) -> tuple[Collection, CheckReport]:
-    """One move and the check report of the collection it produces; the only
-    place a produced collection is checked."""
+def _step(collection: Collection, move: Move) -> Collection:
+    """One move; the only place a produced collection is checked."""
     blocks = list(collection.blocks)
     n = len(blocks)
     k = move.kind
@@ -300,7 +320,7 @@ def _step(collection: Collection, move: Move) -> tuple[Collection, CheckReport]:
         if move.index >= n:
             raise MoveError("swap needs a block on the right")
         i = move.index - 1
-        if not _orthogonal_blocks(blocks[i], blocks[i + 1]):
+        if not _orthogonal_blocks(collection, move.index):
             raise MoveError("swap blocks are not completely orthogonal")
         blocks[i], blocks[i + 1] = blocks[i + 1], blocks[i]
     elif k == "merge":
@@ -309,7 +329,7 @@ def _step(collection: Collection, move: Move) -> tuple[Collection, CheckReport]:
         i = move.index - 1
         if blocks[i].opaque or blocks[i + 1].opaque:
             raise MoveError("cannot merge opaque blocks")
-        if not _orthogonal_blocks(blocks[i], blocks[i + 1]):
+        if not _orthogonal_blocks(collection, move.index):
             raise MoveError("merge blocks are not completely orthogonal")
         blocks[i : i + 2] = [Block(blocks[i].objects + blocks[i + 1].objects)]
     elif k == "split":
@@ -359,14 +379,14 @@ def _step(collection: Collection, move: Move) -> tuple[Collection, CheckReport]:
         + ": "
         + "; ".join(report.violations)
         )
-    return out, report
+    return out
 
 
 def apply_move(collection: Collection, move: Move) -> Collection:
     """One move; raises MoveError on a violated precondition and
     VerificationError if the rewritten collection fails check_collection.
     The produced collection is checked once, inside the move step."""
-    return _step(collection, move)[0]
+    return _step(collection, move)
 
 
 # -- comparison -----------------------------------------------------------
@@ -436,37 +456,36 @@ def _render_blocks(collection: Collection) -> list[dict]:
     return out
 
 
-def _record(step: int, label: str, collection: Collection, report: CheckReport) -> dict:
+def _record(step: int, label: str, collection: Collection, ok: bool) -> dict:
+    """A certificate record: a move or a check, shown with `collection`."""
     return {
         "step": step,
         "move": label,
         "blocks": _render_blocks(collection),
-        "gram": [list(row) for row in report.gram],
-        "ok": report.ok,
+        "gram": [list(row) for row in collection.gram],
+        "ok": ok,
     }
 
 
 def _replay(collection: Collection, moves, case: str = ""):
-    """run_script plus the record of the final collection: the last step's
-    record, or a step-0 record of the start check when `moves` is empty."""
+    """The collections a script passes through, the start first, and one
+    record per move."""
     start = check_collection(collection)
     if not start.ok:
         raise VerificationError(
             f"{case or 'script'}: starting collection is not semi-orthogonal: "
             + "; ".join(start.violations)
         )
-    steps = []
-    current = collection
+    states, steps = [collection], []
     for idx, move in enumerate(moves, 1):
         try:
-            current, report = _step(current, move)
+            states.append(_step(states[-1], move))
         except (MoveError, VerificationError) as exc:
             raise VerificationError(
                 f"{case or 'script'}: step {idx} ({render_move(move)}) failed: {exc}"
             ) from exc
-        steps.append(_record(idx, render_move(move), current, report))
-    last = steps[-1] if steps else _record(0, "start", collection, start)
-    return current, steps, last
+        steps.append(_record(idx, render_move(move), states[-1], True))
+    return states, steps
 
 
 def run_script(collection: Collection, moves, case: str = ""):
@@ -476,8 +495,9 @@ def run_script(collection: Collection, moves, case: str = ""):
 
     The start collection is checked once here; each collection a move
     produces is checked once, inside the move step, and its record reuses
-    that report's Gram matrix."""
-    return _replay(collection, moves, case)[:2]
+    the Gram matrix that check computed."""
+    states, steps = _replay(collection, moves, case)
+    return states[-1], steps
 
 
 def certificate(case: str, steps, verdict: str) -> dict:

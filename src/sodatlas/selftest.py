@@ -33,7 +33,6 @@ from .catalog.core import (
 )
 from .catalog.scripts import (
     _matrix_on_span,
-    _parse_block_range,
     _span_classes,
     catalog_ids,
     link_script,
@@ -60,7 +59,6 @@ from .ktheory import (
     twist,
 )
 from .lattice import SurfaceModel
-from .textio import _parse_int
 from .mutation import (
     VERDICT_OK,
     Move,
@@ -161,9 +159,8 @@ def criterion_3() -> str:
     for case in catalog_ids():
         script = link_script(case)
         for post in script.posts:
-            if post[0] == "serre-inv":
-                rng = _parse_block_range(post[1])
-                k = _parse_int(post[2].lstrip("^"))
+            if post.kind == "serre-inv":
+                rng, k = post.rng, post.power
                 want = 3 if script.roof.degree == 1 else 2
                 _ensure(k == want, f"{case}: power {k} on a degree-{script.roof.degree} roof")
                 serre = subcategory_serre_matrix(script.side1, rng)
@@ -171,24 +168,20 @@ def criterion_3() -> str:
                 _ensure(sigma is not None, f"{case}: involution does not preserve the span")
                 _ensure(
                     intlinalg.mat_pow(serre, k) == intlinalg.mat_neg(sigma),
-                    f"{case}: Serre^{k} != -sigma on blocks {post[1]}",
+                    f"{case}: Serre^{k} != -sigma on blocks {rng[0]}..{rng[1]}",
                 )
                 seen["deg1" if script.roof.degree == 1 else "deg2"] += 1
-            elif post[0] == "sigma-dual":
-                image = apply_divisor_matrix(
-                    script.roof, script.involution, script.dictionary[post[1]]
-                )
+            elif post.kind == "sigma-dual":
+                a, b = post.names
+                image = apply_divisor_matrix(script.roof, script.involution, script.dictionary[a])
                 _ensure(
-                    image == script.dictionary[post[2]],
-                    f"{case}: involution does not exchange {post[1]} and {post[2]}",
+                    image == script.dictionary[b],
+                    f"{case}: involution does not exchange {a} and {b}",
                 )
                 seen["dual"] += 1
-            elif post[0] == "serre-match":
-                prefix = _parse_int(post[1])
-                rng_a = _parse_block_range(post[2])
-                rng_b = _parse_block_range(post[3])
-                partial, _ = run_script(script.side1, script.moves[:prefix], case)
-                n = serre_power_match(partial, rng_a, script.side2, rng_b, 12)
+            elif post.kind == "serre-match":
+                partial, _ = run_script(script.side1, script.moves[: post.prefix], case)
+                n = serre_power_match(partial, post.rng, script.side2, post.far, 12)
                 _ensure(
                     n is not None and abs(n) <= 12,
                     f"{case}: no Serre power within |N| <= 12",

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from sodatlas import intlinalg
+from sodatlas import intlinalg, mutation
+from sodatlas.catalog.scripts import _script_from_stanza
 from sodatlas.errors import InputError, UnsupportedRangeError
 from sodatlas.ktheory import euler_pairing
 from sodatlas.lattice import SurfaceModel
@@ -30,6 +31,7 @@ from sodatlas.catalog import (
     validate_link,
     verify_link,
 )
+from sodatlas.textio import parse_stanzas
 
 P2 = SurfaceModel("P2")
 F0 = SurfaceModel("F0")
@@ -314,6 +316,82 @@ def test_replay_intermediate_chain_for_nine_eight():
         state, steps = run_script(state, (mv,), "I-9-8")
         seen.append([b.size for b in state.blocks])
     assert seen[-1] == [b.size for b in script.side2.blocks]
+
+
+def test_verify_link_replays_each_move_once(monkeypatch):
+    calls = []
+    step = mutation._step
+    monkeypatch.setattr(mutation, "_step", lambda c, m: calls.append(m) or step(c, m))
+    for cid in ("II-curve-5-1", "II-curve-6-2", "IV-2"):
+        calls.clear()
+        assert verify_link(cid)["verdict"] == VERDICT_OK
+        assert tuple(calls) == link_script(cid).moves, cid
+
+
+# -- post checks ------------------------------------------------------------------
+
+_I_9_8 = """\
+[link "I-9-8"]
+roof = P2[1]
+dict h = H - E1
+side1 = tors E1 | O(-2H) | O(-H) | O
+side2 = O(-h-E1) | O(-E1) | O(-h) | O
+moves = helix -K; L 4; helix -K; L 4
+"""
+
+_IV_2 = """\
+[link "IV-2"]
+roof = P2[7]
+dict h1 = H - E1
+dict h2 = -2K - h1
+side1 = opq 8 | O(-h1) | O
+side2 = opq 8 | O(-h2) | O
+involution = geiser
+moves = serre 1..2 ^2
+"""
+
+
+def test_post_lines_parse_to_their_labels():
+    assert [p.label for p in link_script("IV-2").posts] == [
+        "post serre-inv 1..2 ^2",
+        "post sigma-dual h1 -> h2",
+    ]
+    (match,) = link_script("II-curve-5-1").posts
+    assert (match.prefix, match.rng, match.far, match.power) == (5, (2, 3), (2, 3), 12)
+    assert match.label == "post serre-match 2..3 vs 2..3"
+
+
+@pytest.mark.parametrize(
+    "stanza, post, reason",
+    [
+        (_I_9_8, "serre-match 1", "takes 4 arguments"),
+        (_IV_2, "sigma-dual h1", "takes 2 arguments"),
+        (_IV_2, "serre-inv 1..2 ^2 ^3", "takes 2 arguments"),
+        (_IV_2, "", "unknown post check"),
+        (_IV_2, "wobble 1..2", "unknown post check"),
+        (_I_9_8, "serre-match x 1..2 1..2 12", "expected an integer"),
+        (_I_9_8, "serre-match 2 1..2 1..2 many", "expected an integer"),
+        (_IV_2, "serre-inv 1..b ^2", "expected an integer"),
+        (_IV_2, "serre-inv 1..2 ^x", "expected an integer"),
+        (_IV_2, "serre-inv 1..2 2", "^k"),
+        (_IV_2, "serre-inv 1-2 ^2", "a..b"),
+        (_IV_2, "serre-inv 0..2 ^2", "1 <= a <= b"),
+        (_I_9_8, "serre-match 2 2..1 1..2 12", "1 <= a <= b"),
+        (_I_9_8, "serre-match -1 1..2 1..2 12", "outside 0..4"),
+        (_I_9_8, "serre-match 5 1..2 1..2 12", "outside 0..4"),
+        (_IV_2, "serre-inv 1..2 ^65", "cap"),
+        (_I_9_8, "serre-match 2 1..2 1..2 100000", "cap"),
+        (_I_9_8, "serre-inv 1..2 ^2", "involution"),
+        (_I_9_8, "sigma-dual h h", "involution"),
+        (_IV_2, "sigma-dual h1 nope", "'nope'"),
+    ],
+)
+def test_bad_post_line_is_input_error(stanza, post, reason):
+    ((kind, name, fields),) = parse_stanzas(stanza + f"post = {post}\n")
+    with pytest.raises(InputError) as exc:
+        _script_from_stanza(name, fields, kind == "refinement")
+    assert str(exc.value).startswith(f"{name}: ")
+    assert reason in str(exc.value)
 
 
 # -- Serre identities on the stored cases -----------------------------------------

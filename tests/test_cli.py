@@ -265,8 +265,17 @@ def test_invariant_rejects_nonpositive_size(tmp_path, capsys):
         ("invariant", "--steps", "steps", "blowup = x"),
         ("mutate", "--collection", "collection", "model = P2\nblocks = opq x | O"),
         ("mutate", "--collection", "collection", "model = P2\nblocks = [a; H; 1] | O"),
+        ("profile", "--file", "profile", 'a = (1, 1, "0")\nam = x'),
+        ("profile", "--file", "profile", 'a = (1, 1, "0")\nam = 2\nam = 3'),
     ],
-    ids=["sod-genus", "invariant-blowup", "mutate-opaque-size", "mutate-object-rank"],
+    ids=[
+        "sod-genus",
+        "invariant-blowup",
+        "mutate-opaque-size",
+        "mutate-object-rank",
+        "profile-am",
+        "profile-repeated-am",
+    ],
 )
 def test_malformed_integer_exits_two(tmp_path, capsys, command, flag, section, line):
     f = tmp_path / "input.cfg"
@@ -280,6 +289,19 @@ def test_malformed_integer_exits_two(tmp_path, capsys, command, flag, section, l
     assert code == 2
     assert "error:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("power", ["100000", "10000000", "-65"])
+def test_serre_exponent_above_the_cap_exits_two(tmp_path, capsys, power):
+    coll = tmp_path / "collection.cfg"
+    coll.write_text("[collection]\nmodel = P2[3]\nblocks = opq 5 | O\n")
+    script = tmp_path / "script.txt"
+    script.write_text(f"serre 1..1 ^{power}\n")
+    code, out, err = run(capsys, "mutate", "--collection", str(coll), "--script", str(script))
+    assert code == 2
+    assert "error:" in err and "cap" in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 # -- profile ---------------------------------------------------------------------

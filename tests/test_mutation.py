@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sodatlas import mutation
 from sodatlas.errors import InputError, MoveError, VerificationError
 from sodatlas.ktheory import (
     euler_pairing,
@@ -15,6 +16,7 @@ from sodatlas.ktheory import (
 )
 from sodatlas.lattice import SurfaceModel
 from sodatlas.mutation import (
+    MAX_SERRE_POWER,
     Block,
     Collection,
     ExcObject,
@@ -122,6 +124,33 @@ def test_move_parse_render_roundtrip():
         parse_move("twist 3")
     with pytest.raises(InputError):
         parse_move("serre 1..2")
+
+
+def test_serre_exponent_is_capped():
+    assert parse_move(f"serre 1..1 ^{MAX_SERRE_POWER}").power == MAX_SERRE_POWER
+    assert parse_move(f"serre 1..1 ^-{MAX_SERRE_POWER}").power == -MAX_SERRE_POWER
+    for power in (MAX_SERRE_POWER + 1, -MAX_SERRE_POWER - 1, 10**7):
+        with pytest.raises(InputError, match=f"cap \\|n\\| <= {MAX_SERRE_POWER}"):
+            parse_move(f"serre 1..1 ^{power}")
+
+
+def test_move_with_an_overlong_integer_is_input_error():
+    with pytest.raises(InputError):
+        parse_move("L " + "1" * 5000)
+
+
+def test_gram_is_computed_once_per_collection(monkeypatch):
+    coll = three_block_deg6()
+    classes = coll.classes()
+    expected = tuple(tuple(euler_pairing(x, y) for y in classes) for x in classes)
+    calls = []
+    monkeypatch.setattr(
+        mutation, "euler_pairing", lambda x, y: calls.append(1) or euler_pairing(x, y)
+    )
+    assert coll.gram == expected
+    assert check_collection(coll).gram == expected
+    assert subcategory_serre_matrix(coll, (1, 2))
+    assert len(calls) == len(classes) ** 2
 
 
 def test_serre_matrix_beilinson():
