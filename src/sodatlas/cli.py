@@ -227,6 +227,7 @@ def _cmd_group(args) -> int:
     try:
         parts = orbits(action, surface.enumerate_r_classes(-1))
     except UnsupportedRangeError as exc:
+        parts = None
         print(f"contractible-class orbits: unavailable ({exc})")
     else:
         for part in parts:
@@ -235,7 +236,7 @@ def _cmd_group(args) -> int:
         print(f"H1: {_render_factors(h1_picard(action))}")
     except UnsupportedRangeError as exc:
         print(f"H1: skipped ({exc})")
-    proxy = minimality_proxy(action)
+    proxy = minimality_proxy(action, parts)
     if proxy["minimal"]:
         print(f"minimality ({proxy['label']}): minimal")
     else:

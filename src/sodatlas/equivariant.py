@@ -6,6 +6,12 @@ sublattice, invariance tests for block collections, extraction of atoms from
 an orbitwise contraction, a permutation-basis certificate for the K-group,
 group cohomology H^1 with lattice coefficients, and the signed G-set sum
 attached to a chain of equivariant blow-ups and blow-downs.
+
+H^1 has one production route, `_cocycle_h1`: the unknowns are the values of
+a cocycle on the generators, and a walk of the Cayley graph supplies the
+relations that cut out Z^1.  The matrices it Smith reduces have |S|.n
+columns and at most |S|.n rows, whatever the group order.  `h1_cyclic` is
+a second, independent route for cyclic groups.
 """
 
 from __future__ import annotations
@@ -121,30 +127,37 @@ def invariant_rank(action: GroupAction) -> int:
 def orbits(action: GroupAction, classes) -> tuple[tuple[DivisorClass, ...], ...]:
     """Orbit partition of a stable class set, deterministically ordered."""
     pool = sorted(set(classes), key=lambda d: d.coords)
-    index = {d: i for i, d in enumerate(pool)}
-    for d in pool:
-        for g in action.generators:
-            if _apply(g, d) not in index:
+    index = {d.coords: i for i, d in enumerate(pool)}
+    # images[t][i]: position of generator t applied to pool[i]; building it
+    # once is both the stability check and the graph the walk below follows.
+    images = []
+    for g in action.generators:
+        row = []
+        for d in pool:
+            j = index.get(tuple(intlinalg.mat_vec(g, d.coords)))
+            if j is None:
                 raise ActionError(
                     f"class set is not stable: generator moves {d.coords} outside the set"
                 )
+            row.append(j)
+        images.append(row)
     assigned = [False] * len(pool)
     parts = []
-    for start in pool:
-        if assigned[index[start]]:
+    for start in range(len(pool)):
+        if assigned[start]:
             continue
         orbit = [start]
-        assigned[index[start]] = True
+        assigned[start] = True
         queue = [start]
         while queue:
-            d = queue.pop()
-            for g in action.generators:
-                e = _apply(g, d)
-                if not assigned[index[e]]:
-                    assigned[index[e]] = True
-                    orbit.append(e)
-                    queue.append(e)
-        parts.append(tuple(sorted(orbit, key=lambda d: d.coords)))
+            i = queue.pop()
+            for row in images:
+                j = row[i]
+                if not assigned[j]:
+                    assigned[j] = True
+                    orbit.append(j)
+                    queue.append(j)
+        parts.append(tuple(pool[i] for i in sorted(orbit)))
     return tuple(parts)
 
 
@@ -503,20 +516,21 @@ def permutation_basis_certificate(surface: SurfaceModel, atoms, action: GroupAct
 
 # -- G-minimality, numerically ---------------------------------------------------
 
-def minimality_proxy(action: GroupAction) -> dict:
+def minimality_proxy(action: GroupAction, parts=None) -> dict:
     """No stable set of pairwise-disjoint (-1)-classes exists.
 
     A purely lattice-side stand-in for G-minimality: any stable set of
     pairwise-disjoint (-1)-classes contains a single stable orbit with the
     same property, so scanning orbits is exhaustive.  The certificate is
-    labeled accordingly; it does not see actual curves.
+    labeled accordingly; it does not see actual curves.  `parts` is
+    `orbits(action, action.surface.enumerate_r_classes(-1))` when the caller
+    has already computed it.
     """
     surface = action.surface
-    classes = sorted(surface.enumerate_r_classes(-1), key=lambda d: d.coords)
+    if parts is None:
+        parts = orbits(action, surface.enumerate_r_classes(-1))
     out = {"label": "numerical proxy", "minimal": True, "witness": None}
-    if not classes:
-        return out
-    for orbit in orbits(action, classes):
+    for orbit in parts:
         if all(
             surface.intersect(a, b) == 0
             for i, a in enumerate(orbit)
@@ -530,36 +544,47 @@ def minimality_proxy(action: GroupAction) -> dict:
 
 # -- H^1 with lattice coefficients ------------------------------------------------
 
-def _bar_h1(elements: tuple[Matrix, ...]) -> list[int]:
-    """ker d1 / im d0 of the inhomogeneous bar complex, by Smith reduction."""
+def _cocycle_h1(generators: tuple[Matrix, ...], elements: tuple[Matrix, ...]) -> list[int]:
+    """Z^1 / B^1 from the values of a cocycle on the generators.
+
+    `elements` is the closure of `generators` in the order `_close` finds
+    it: the identity first, then breadth-first by left multiplication.
+
+    A cocycle (f(gh) = f(g) + g.f(h)) is fixed by its values f(s) on the
+    generators: those are the |S|.n unknowns.  Walking the Cayley graph in
+    that order from f(1) = 0 writes each f(g) as an n x |S|n matrix in the
+    unknowns; every edge g -> s.g that reaches an element already seen adds
+    the n rows f(s) + s.f(g) - f(sg) = 0.  Their kernel is all of Z^1: the g
+    with f(gh) = f(g) + g.f(h) for every h include the generators and are
+    closed under products, so in a finite group they are all of G.  B^1 is
+    spanned by the coboundaries s -> s.e_k - e_k.
+    """
     n = len(elements[0])
-    order = len(elements)
-    pos = {m: i for i, m in enumerate(elements)}
-    rows = []
+    m = len(generators) * n
+    value = {elements[0]: [[0] * m for _ in range(n)]}
+    relations = set()
     for g in elements:
-        for h in elements:
-            gh = _freeze(intlinalg.mat_mul(g, h))
+        for t, s in enumerate(generators):
+            image = intlinalg.mat_mul(s, value[g])
             for r in range(n):
-                row = [0] * (order * n)
-                for k in range(n):
-                    row[pos[h] * n + k] += g[r][k]
-                row[pos[gh] * n + r] -= 1
-                row[pos[g] * n + r] += 1
-                rows.append(row)
-    kernel = intlinalg.kernel_basis(rows)
+                image[r][t * n + r] += 1
+            sg = _freeze(intlinalg.mat_mul(s, g))
+            known = value.get(sg)
+            if known is None:
+                value[sg] = image
+            else:
+                relations.update(tuple(x - y for x, y in zip(a, b)) for a, b in zip(image, known))
+    # The Hermite form is canonical, so the set's order cannot show in the
+    # result, and it spans the same lattice in at most |S|n rows: the Smith
+    # reduction behind the kernel stays small at any group order.
+    relations = intlinalg.hermite_row_form(relations)
+    kernel = intlinalg.kernel_basis(relations) if relations else intlinalg.identity(m)
     if not kernel:
         return []
-    basis_cols = [[kernel[j][i] for j in range(len(kernel))] for i in range(order * n)]
-    coords = []
-    for k in range(n):
-        image = [0] * (order * n)
-        for g in elements:
-            for r in range(n):
-                image[pos[g] * n + r] = g[r][k] - (1 if r == k else 0)
-        sol = intlinalg.solve(basis_cols, image)
-        if sol is None:
-            raise VerificationError("coboundary falls outside the cocycle lattice")
-        coords.append(sol)
+    coboundaries = [[s[r][k] - (r == k) for s in generators for r in range(n)] for k in range(n)]
+    coords = intlinalg.solve_many(intlinalg.transpose(kernel), coboundaries)
+    if None in coords:
+        raise VerificationError("coboundary falls outside the cocycle lattice")
     factors = intlinalg.abelian_quotient(len(kernel), coords)
     if 0 in factors:
         raise VerificationError("H^1 came out infinite; the input is not a finite group action")
@@ -572,8 +597,8 @@ def h1_lattice(generators, cap: int = DEFAULT_H1_CAP) -> list[int]:
     Pure lattice arithmetic: no surface, no form or K constraint, so it also
     serves actions that no surface model can host.
     """
-    elements = _close([_freeze(g) for g in generators], cap)
-    return _bar_h1(elements)
+    generators = tuple(_freeze(g) for g in generators)
+    return _cocycle_h1(generators, _close(generators, cap))
 
 
 def h1_picard(action: GroupAction, cap: int = DEFAULT_H1_CAP) -> list[int]:
@@ -582,13 +607,13 @@ def h1_picard(action: GroupAction, cap: int = DEFAULT_H1_CAP) -> list[int]:
         raise UnsupportedRangeError(
             f"group of order {action.order} exceeds the H^1 cap of {cap}"
         )
-    return _bar_h1(action.elements)
+    return _cocycle_h1(action.generators or (action.identity(),), action.elements)
 
 
 def h1_cyclic(generator, cap: int = DEFAULT_H1_CAP) -> list[int]:
     """ker(Norm)/im(g - 1) for the cyclic group generated by one matrix.
 
-    Independent route to H^1 for cyclic groups; the bar complex must agree.
+    Independent route to H^1 for cyclic groups; the cocycle route must agree.
     """
     g = _freeze(generator)
     n = len(g)

@@ -230,20 +230,24 @@ def kernel_basis(a) -> list[Vector]:
 
 def solve(a, b) -> Vector | None:
     """One integer solution of a*x = b, or None."""
+    return solve_many(a, [b])[0]
+
+
+def solve_many(a, bs) -> list[Vector | None]:
+    """solve(a, b) for each b in bs, from one Smith reduction of a."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     u, d, v = smith_normal_form(a)
-    c = mat_vec(u, b)
-    y = [0] * ncols
-    for i in range(nrows):
-        di = d[i][i] if i < ncols else 0
-        if di:
-            if c[i] % di:
-                return None
-            y[i] = c[i] // di
-        elif c[i]:
-            return None
-    return mat_vec(v, y)
+    diag = [d[i][i] if i < ncols else 0 for i in range(nrows)]
+    out = []
+    for b in bs:
+        c = mat_vec(u, b)
+        if any(ci % di if di else ci for ci, di in zip(c, diag)):
+            out.append(None)
+            continue
+        y = [c[i] // diag[i] if i < nrows and diag[i] else 0 for i in range(ncols)]
+        out.append(mat_vec(v, y))
+    return out
 
 
 def hermite_row_form(rows) -> tuple[tuple[int, ...], ...]:

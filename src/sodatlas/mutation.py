@@ -17,7 +17,7 @@ from functools import cached_property
 from math import isqrt
 
 from . import intlinalg
-from .errors import InputError, MoveError, VerificationError
+from .errors import InputError, MoveError, UnsupportedRangeError, VerificationError
 from .ktheory import KClass, euler_pairing, mutate_class, twist
 from .lattice import SurfaceModel
 from .textio import _parse_int, render_kclass
@@ -27,6 +27,15 @@ DEFAULT_SEARCH_DEPTH = 8
 # Largest |n| in `serre a..b ^n`; the catalog uses |n| <= 3 and
 # serre_power_match searches |N| <= 12.
 MAX_SERRE_POWER = 64
+# Largest bit length of a class coordinate a serre move may produce.  Each
+# `serre 1..1 ^64` on P2[3], `opq 5 | O` adds about 122 bits; at this bound
+# an Euler pairing of two classes stays far below the 4,300 digits Python
+# will turn into text.
+MAX_CLASS_BITS = 4096
+# Most collections search_path expands.  Exhaustive searches expand at most
+# 65 from the 15 catalog cases of the move-search benchmark at depth 3, and
+# 2,109 from the plane's Beilinson collection at the default depth 8.
+MAX_SEARCH_NODES = 10_000
 
 
 @dataclass(frozen=True)
@@ -360,6 +369,12 @@ def _step(collection: Collection, move: Move) -> Collection:
             for i in range(len(old)):
                 acc = acc + power[i][j] * old[i]
             new_classes.append(acc)
+        bits = max(abs(x) for c in new_classes for x in c.vector).bit_length()
+        if bits > MAX_CLASS_BITS:
+            raise InputError(
+                f"{render_move(move)} gives a class coordinate of {bits} bits, "
+                f"above the bound of {MAX_CLASS_BITS} bits"
+            )
         at = 0
         for bi in range(a - 1, b):
             size = blocks[bi].size
@@ -484,6 +499,8 @@ def _replay(collection: Collection, moves, case: str = ""):
             raise VerificationError(
                 f"{case or 'script'}: step {idx} ({render_move(move)}) failed: {exc}"
             ) from exc
+        except InputError as exc:
+            raise InputError(f"{case or 'script'}: step {idx}: {exc}") from exc
         steps.append(_record(idx, render_move(move), states[-1], True))
     return states, steps
 
@@ -554,16 +571,25 @@ def search_path(
     kinds=DEFAULT_SEARCH_KINDS,
 ):
     """Breadth-first search for a move word taking `start` to `goal` up to
-    UpToSignAndBlockPerm, or None within the depth bound."""
+    UpToSignAndBlockPerm, or None within the depth bound.  Raises
+    UnsupportedRangeError once it would expand more than MAX_SEARCH_NODES
+    collections."""
     depth = _search_depth(max_depth)
     if collections_equal(start, goal, "UpToSignAndBlockPerm"):
         return ()
     seen = {canonical_form(start)}
     frontier = deque([(start, (), 0)])
+    expanded = 0
     while frontier:
         current, path, d = frontier.popleft()
         if d >= depth:
             continue
+        expanded += 1
+        if expanded > MAX_SEARCH_NODES:
+            raise UnsupportedRangeError(
+                f"search expanded more than {MAX_SEARCH_NODES} collections "
+                f"within depth {depth}"
+            )
         for move in _candidate_moves(current, kinds):
             try:
                 nxt = apply_move(current, move)

@@ -304,6 +304,21 @@ def test_serre_exponent_above_the_cap_exits_two(tmp_path, capsys, power):
     assert out == ""
 
 
+def test_serre_growth_past_the_coordinate_bound_exits_two(tmp_path, capsys):
+    # each move adds about 122 bits: 4,014 after the 33rd, 4,136 after the 34th
+    coll = tmp_path / "collection.cfg"
+    coll.write_text("[collection]\nmodel = P2[3]\nblocks = opq 5 | O\n")
+    script = tmp_path / "script.txt"
+    script.write_text("serre 1..1 ^64\n" * 130)
+    code, out, err = run(capsys, "mutate", "--collection", str(coll), "--script", str(script))
+    assert code == 2
+    assert "error:" in err
+    assert "step 34: serre 1..1 ^64 gives a class coordinate of 4136 bits" in err
+    assert "above the bound of 4096 bits" in err
+    assert "Traceback" not in err
+    assert out.startswith("start:")
+
+
 # -- profile ---------------------------------------------------------------------
 
 def test_profile_on_the_bundled_data(capsys):

@@ -125,6 +125,10 @@ def workdir(tmp_path_factory):
     collection="[collection]\nmodel = P2[3]\nblocks = opq 5 | O\n",
     script="serre 1..1 ^100000",
 )
+@example(
+    collection="[collection]\nmodel = P2[3]\nblocks = opq 5 | O\n",
+    script="\n".join(["serre 1..1 ^64"] * 130),
+)
 def test_mutate_never_raises(workdir, collection, script):
     coll, moves = workdir / "collection.cfg", workdir / "script.txt"
     coll.write_text(collection)

@@ -1,0 +1,191 @@
+"""H^1 from generator cocycles against the full bar complex.
+
+`bar_h1` is the library's former H^1 route, kept here unchanged as an
+independent oracle: it builds the inhomogeneous bar complex over every pair
+of group elements, |G|^2.n rows by |G|.n columns, and Smith reduces it.
+"""
+
+from functools import cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sodatlas import intlinalg
+from sodatlas.equivariant import group_action, h1_cyclic, h1_lattice, h1_picard
+from sodatlas.errors import ActionError, VerificationError
+from sodatlas.lattice import SurfaceModel
+
+
+def _freeze(mat):
+    return tuple(tuple(int(x) for x in row) for row in mat)
+
+
+def bar_h1(elements):
+    """ker d1 / im d0 of the inhomogeneous bar complex, by Smith reduction."""
+    n = len(elements[0])
+    order = len(elements)
+    pos = {m: i for i, m in enumerate(elements)}
+    rows = []
+    for g in elements:
+        for h in elements:
+            gh = _freeze(intlinalg.mat_mul(g, h))
+            for r in range(n):
+                row = [0] * (order * n)
+                for k in range(n):
+                    row[pos[h] * n + k] += g[r][k]
+                row[pos[gh] * n + r] -= 1
+                row[pos[g] * n + r] += 1
+                rows.append(row)
+    kernel = intlinalg.kernel_basis(rows)
+    if not kernel:
+        return []
+    basis_cols = [[kernel[j][i] for j in range(len(kernel))] for i in range(order * n)]
+    coords = []
+    for k in range(n):
+        image = [0] * (order * n)
+        for g in elements:
+            for r in range(n):
+                image[pos[g] * n + r] = g[r][k] - (1 if r == k else 0)
+        sol = intlinalg.solve(basis_cols, image)
+        if sol is None:
+            raise VerificationError("coboundary falls outside the cocycle lattice")
+        coords.append(sol)
+    factors = intlinalg.abelian_quotient(len(kernel), coords)
+    if 0 in factors:
+        raise VerificationError("H^1 came out infinite; the input is not a finite group action")
+    return [f for f in factors if f > 1]
+
+
+def closure(generators):
+    """Every product of the generators, by a plain breadth-first walk."""
+    gens = [_freeze(g) for g in generators]
+    n = len(gens[0])
+    elements = [_freeze([[int(i == j) for j in range(n)] for i in range(n)])]
+    seen = set(elements)
+    for m in elements:
+        for g in gens:
+            p = _freeze(intlinalg.mat_mul(g, m))
+            if p not in seen:
+                seen.add(p)
+                elements.append(p)
+    return tuple(elements)
+
+
+# -- the capped actions of the group-h1 benchmark, typed out again ---------------
+
+def perm(n, *cycles):
+    """Matrix on P2[n] (basis H, E1..En; columns are images) permuting the
+    E_i along the given cycles."""
+    image = {}
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            image[a] = b
+    mat = [[0] * (n + 1) for _ in range(n + 1)]
+    for j in range(n + 1):
+        mat[image.get(j, j)][j] = 1
+    return mat
+
+
+def involution(n):
+    """Geiser (n = 7) or Bertini (n = 8) involution D -> (2 D.K / K^2) K - D."""
+    degree = 9 - n
+    k = [-3] + [1] * n
+    mat = [[0] * (n + 1) for _ in range(n + 1)]
+    for j in range(n + 1):
+        dk = -3 if j == 0 else -1
+        for i in range(n + 1):
+            mat[i][j] = (2 * dk // degree) * k[i] - (i == j)
+    return mat
+
+
+HEX_ROT = [[2, 1, 1, 1], [-1, -1, 0, -1], [-1, -1, -1, 0], [-1, 0, -1, -1]]
+
+# name -> (number of blown-up points, generators)
+ACTIONS = {
+    "c3-p2-3": (3, [perm(3, [1, 2, 3])]),
+    "s3-p2-3": (3, [perm(3, [1, 2, 3]), perm(3, [1, 2])]),
+    "d4-p2-4": (4, [perm(4, [1, 2, 3, 4]), perm(4, [1, 3])]),
+    "a4-p2-4": (4, [perm(4, [1, 2, 3]), perm(4, [1, 2], [3, 4])]),
+    "c6-p2-6": (6, [perm(6, [1, 2, 3], [4, 5])]),
+    "c3xc3-p2-6": (6, [perm(6, [1, 2, 3]), perm(6, [4, 5, 6])]),
+    "s3xc2-p2-5": (5, [perm(5, [1, 2, 3]), perm(5, [1, 2]), perm(5, [4, 5])]),
+    "hexagon-p2-3": (3, [HEX_ROT, perm(3, [1, 2])]),
+    "geiser-p2-7": (7, [involution(7)]),
+    "geiser-swap-p2-7": (7, [involution(7), perm(7, [1, 2])]),
+    "bertini-p2-8": (8, [involution(8)]),
+    "bertini-swap-p2-8": (8, [involution(8), perm(8, [1, 2])]),
+}
+
+
+@cache
+def oracle(name):
+    return bar_h1(closure(ACTIONS[name][1]))
+
+
+@pytest.mark.parametrize("name", ACTIONS)
+def test_capped_benchmark_actions_agree_with_the_bar_complex(name):
+    n, gens = ACTIONS[name]
+    assert h1_picard(group_action(SurfaceModel("P2", (n,)), gens)) == oracle(name)
+
+
+def conjugate(mat, p):
+    """P mat P^-1 for the basis permutation e_j -> e_p[j]."""
+    inv = [0] * len(mat)
+    for j, pj in enumerate(p):
+        inv[pj] = j
+    return [[mat[inv[i]][inv[j]] for j in range(len(mat))] for i in range(len(mat))]
+
+
+@st.composite
+def conjugated_actions(draw):
+    name = draw(st.sampled_from(sorted(ACTIONS)))
+    n = ACTIONS[name][0]
+    p = [0] + draw(st.permutations(range(1, n + 1)))
+    return name, p
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(conjugated_actions())
+def test_renumbering_the_exceptional_classes_keeps_h1(case):
+    name, p = case
+    n, gens = ACTIONS[name]
+    action = group_action(SurfaceModel("P2", (n,)), [conjugate(g, p) for g in gens])
+    assert h1_picard(action) == oracle(name)
+
+
+@pytest.mark.parametrize("surface", [SurfaceModel("P2"), SurfaceModel("P2", (3,))])
+def test_trivial_group_agrees_with_the_bar_complex(surface):
+    action = group_action(surface, [])
+    assert h1_picard(action) == bar_h1(action.elements) == []
+
+
+# Modules no surface model hosts: they negate K or have the wrong rank.
+CYCLIC_MODULES = [
+    [[-1]],
+    [[0, 1], [1, 0]],
+    [[0, -1], [1, -1]],
+    [[-1, 0], [0, -1]],
+    [[0, 0, -1], [1, 0, 0], [0, 1, 0]],
+]
+
+
+@pytest.mark.parametrize("mat", CYCLIC_MODULES)
+def test_lattice_modules_agree_with_the_bar_complex_and_the_cyclic_formula(mat):
+    assert h1_lattice([mat]) == bar_h1(closure([mat])) == h1_cyclic(mat)
+
+
+def test_klein_four_sign_module_agrees_with_the_bar_complex():
+    gens = [[[-1, 0], [0, 1]], [[1, 0], [0, -1]]]
+    assert h1_lattice(gens) == bar_h1(closure(gens)) == [2, 2]
+
+
+def test_s4_on_the_degree_five_model_has_trivial_h1():
+    action = group_action(SurfaceModel("P2", (4,)), [perm(4, [1, 2, 3, 4]), perm(4, [1, 2])])
+    assert action.order == 24
+    assert h1_picard(action) == []
+
+
+def test_h1_lattice_stops_at_the_closure_cap():
+    with pytest.raises(ActionError, match="cap of 10 elements"):
+        h1_lattice([[[1, 1], [0, 1]]], cap=10)

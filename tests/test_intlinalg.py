@@ -92,6 +92,17 @@ def test_solve_recovers_images(a, data):
     assert la.mat_vec(a, sol) == b
 
 
+def test_solve_many_answers_each_right_hand_side():
+    a = [[2, 0], [0, 3], [0, 0]]
+    assert la.solve_many(a, [[2, 3, 0], [1, 0, 0], [4, -6, 0], [0, 0, 1]]) == [
+        [1, 1],
+        None,
+        [2, -2],
+        None,
+    ]
+    assert la.solve_many(a, []) == []
+
+
 def test_solve_reports_unsolvable():
     assert la.solve([[2, 0], [0, 2]], [1, 0]) is None
     assert la.solve([[1, 1]], [3]) == [3, 0] or la.solve([[1, 1]], [3]) is not None

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from sodatlas import mutation
-from sodatlas.errors import InputError, MoveError, VerificationError
+from sodatlas.errors import InputError, MoveError, UnsupportedRangeError, VerificationError
 from sodatlas.ktheory import (
     euler_pairing,
     line_bundle_class,
@@ -407,6 +407,17 @@ def test_search_path_depth_env(monkeypatch):
     assert search_path(beilinson(), target) is None
     monkeypatch.setenv("SODATLAS_DEPTH", "2")
     assert search_path(beilinson(), target) is not None
+
+
+def test_search_path_node_budget(monkeypatch):
+    start = beilinson()
+    unreachable = Collection(P2, start.blocks[:1])
+    # the exhaustive depth-3 search expands 27 collections
+    monkeypatch.setattr(mutation, "MAX_SEARCH_NODES", 27)
+    assert search_path(start, unreachable, max_depth=3) is None
+    monkeypatch.setattr(mutation, "MAX_SEARCH_NODES", 26)
+    with pytest.raises(UnsupportedRangeError, match="more than 26 collections"):
+        search_path(start, unreachable, max_depth=3)
 
 
 def test_serre_power_match_identity_and_twist():
