@@ -10,6 +10,7 @@ or, in the opaque cases, from the solved orthogonality span.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Literal
 
 from .. import intlinalg
@@ -17,7 +18,7 @@ from ..errors import InputError, UnsupportedRangeError
 from ..ktheory import (
     KClass,
     class_from_vector,
-    euler_pairing,
+    euler_row,
     line_bundle_class,
     structure_class,
 )
@@ -91,11 +92,10 @@ def orthogonal_span(
     the first group and to the right of the second).  Saturated, so the
     span is exactly the K-theory of the orthogonal subcategory."""
     dim = surface.picard_rank + 2
-    rows = []
-    for y in left_of:
-        rows.append([euler_pairing(_unit_vector(surface, i), y) for i in range(dim)])
-    for z in right_of:
-        rows.append([euler_pairing(z, _unit_vector(surface, i)) for i in range(dim)])
+    # form[i] = chi(e_i, -), so chi(x, y) = sum_i x_i (form[i] . y)
+    form = [euler_row(_unit_vector(surface, i)) for i in range(dim)]
+    rows = [[sum(map(mul, row, y.vector)) for row in form] for y in left_of]
+    rows += [list(euler_row(z)) for z in right_of]
     if not rows:
         rows = [[0] * dim]
     basis = intlinalg.kernel_basis(rows)

@@ -280,13 +280,10 @@ def _matrix_on_span(script: LinkScript, classes) -> list[list[int]] | None:
     """Matrix (columns are images) of the stored involution on the span of
     `classes`, in their own coordinates; None if it does not preserve it."""
     basis_t = intlinalg.transpose([list(c.vector) for c in classes])
-    cols = []
-    for c in classes:
-        image = sigma_kclass(c, script.involution)
-        col = intlinalg.solve(basis_t, list(image.vector))
-        if col is None:
-            return None
-        cols.append(col)
+    images = [list(sigma_kclass(c, script.involution).vector) for c in classes]
+    cols = intlinalg.solve_many(basis_t, images)
+    if any(col is None for col in cols):
+        return None
     return intlinalg.transpose(cols)
 
 

@@ -227,7 +227,7 @@ def _cmd_group(args) -> int:
     try:
         parts = orbits(action, surface.enumerate_r_classes(-1))
     except UnsupportedRangeError as exc:
-        parts = None
+        parts, reason = None, exc
         print(f"contractible-class orbits: unavailable ({exc})")
     else:
         for part in parts:
@@ -236,6 +236,9 @@ def _cmd_group(args) -> int:
         print(f"H1: {_render_factors(h1_picard(action))}")
     except UnsupportedRangeError as exc:
         print(f"H1: skipped ({exc})")
+    if parts is None:
+        print(f"minimality (numerical proxy): unavailable ({reason})")
+        return 0
     proxy = minimality_proxy(action, parts)
     if proxy["minimal"]:
         print(f"minimality ({proxy['label']}): minimal")

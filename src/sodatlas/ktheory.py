@@ -1,15 +1,23 @@
 """K-group of a rational surface in (rank, c1, chi) coordinates.
 
-The group is Z + Pic + Z.  All operations are exact integer arithmetic; the
-Euler pairing below was verified symbolically (see the test suite) against
-the two identities that pin it down: the line-bundle specialization
-chi(O(A), O(B)) = chi(O(B-A)) and the duality chi(a, b) = chi(b, a*K).
+The group is Z + Pic + Z.  All operations are exact integer arithmetic.
+
+The Euler pairing is one linear functional per class: ``euler_row(a)`` is
+chi(a, -) on the vector (rank, c1..., chi), so chi(a, b) is an integer dot
+product and a Gram matrix costs one row per class.  Its formula,
+
+    chi(a, b) = r_a chi_b + r_b chi_a - r_a r_b + r_b (c1_a.K) - c1_a.c1_b,
+
+was verified symbolically (see the test suite) against the two identities
+that pin it down: the line-bundle specialization chi(O(A), O(B)) =
+chi(O(B-A)) and the duality chi(a, b) = chi(b, a*K).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Literal
 
 from .errors import InputError
@@ -96,12 +104,26 @@ def torsion_class(surface: SurfaceModel, e: DivisorClass, k: int) -> KClass:
     return KClass(surface, 0, e, k + 1)
 
 
+def euler_row(a: KClass) -> tuple[int, ...]:
+    """The functional chi(a, -) on vectors (rank, c1..., chi):
+    chi(a, b) = euler_row(a) . b.vector.
+
+    Coefficients: chi_a - rank_a + c1_a.K on the rank, -G.c1_a on c1 (G the
+    intersection form, in the closed form of `lattice`), rank_a on chi."""
+    surface = a.surface
+    c = a.c1.coords
+    d = surface.hirzebruch_d
+    if d is None:
+        c1_part = (-c[0],) + c[1:]
+    else:
+        c1_part = (d * c[0] - c[1], -c[0]) + c[2:]
+    head = a.chi - a.rank + surface.intersect(a.c1, surface.canonical)
+    return (head,) + c1_part + (a.rank,)
+
+
 def euler_pairing(a: KClass, b: KClass) -> int:
     a._check(b)
-    surface = a.surface
-    c1a_c1b = surface.intersect(a.c1, b.c1)
-    c1a_k = surface.intersect(a.c1, surface.canonical)
-    return a.rank * b.chi + b.rank * a.chi - a.rank * b.rank + b.rank * c1a_k - c1a_c1b
+    return sum(map(mul, euler_row(a), b.vector))
 
 
 def twist(a: KClass, l: DivisorClass) -> KClass:

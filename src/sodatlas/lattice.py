@@ -6,6 +6,15 @@ A surface model is purely numerical: a base (``P2`` or ``F<d>``) plus an
 ordered list of orbit sizes of point blow-ups.  The basis is (H, E1..En)
 over the plane and (s, h, E1..En) over F_d, with H^2 = 1, E_i^2 = -1,
 s^2 = -d, s.h = 1, h^2 = 0 and all mixed products zero.
+
+The form is -1 on the diagonal tail (E1..En) behind a 1x1 or 2x2 head, so
+``SurfaceModel.intersect`` evaluates it in closed form, in O(n):
+
+    P2:   x.y = x0*y0 - sum_i x_i*y_i
+    F_d:  x.y = x0*y1 + x1*y0 - d*x0*y0 - sum_i x_i*y_i
+
+with the sums over the tail.  ``SurfaceModel.gram`` is the same form as a
+matrix, for the callers that act on the lattice with matrices.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
+from operator import mul
 from typing import Iterable, Iterator, Literal
 
 from .errors import InputError, UnsupportedRangeError
@@ -149,11 +159,11 @@ class SurfaceModel:
     def intersect(self, a: DivisorClass, b: DivisorClass) -> int:
         if len(a.coords) != self.picard_rank or len(b.coords) != self.picard_rank:
             raise InputError("divisor does not live on this surface (length mismatch)")
-        g = self.gram
-        return sum(
-            x * sum(g[i][j] * y for j, y in enumerate(b.coords))
-            for i, x in enumerate(a.coords)
-        )
+        x, y = a.coords, b.coords
+        d = self.hirzebruch_d
+        if d is None:
+            return x[0] * y[0] - sum(map(mul, x[1:], y[1:]))
+        return x[0] * y[1] + x[1] * y[0] - d * x[0] * y[0] - sum(map(mul, x[2:], y[2:]))
 
     def r_class_value(self, d: DivisorClass) -> int | None:
         self_int = self.intersect(d, d)

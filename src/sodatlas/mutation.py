@@ -15,10 +15,11 @@ from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import isqrt
+from operator import mul
 
 from . import intlinalg
 from .errors import InputError, MoveError, UnsupportedRangeError, VerificationError
-from .ktheory import KClass, euler_pairing, mutate_class, twist
+from .ktheory import KClass, euler_row, mutate_class, twist
 from .lattice import SurfaceModel
 from .textio import _parse_int, render_kclass
 
@@ -86,9 +87,12 @@ class Collection:
     @cached_property
     def _pairings(self) -> tuple[int, ...]:
         """chi(x, y) over the listed objects, row by row, computed once; kept
-        flat because a tuple of row tuples takes about twice the memory."""
+        flat because a tuple of row tuples takes about twice the memory.
+        Each entry is the dot product of euler_row(x) with y.vector."""
         classes = self.classes()
-        return tuple(euler_pairing(x, y) for x in classes for y in classes)
+        vectors = [y.vector for y in classes]
+        rows = [euler_row(x) for x in classes]
+        return tuple(sum(map(mul, row, v)) for row in rows for v in vectors)
 
     @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
@@ -629,12 +633,10 @@ def serre_power_match(
     ):
         return None
     basis_t = intlinalg.transpose([list(c.vector) for c in cls_a])
-    target = []
-    for c in cls_b:
-        col = intlinalg.solve(basis_t, list(c.vector))
-        if col is None:
-            return None
-        target.append(_sign_normal(col))
+    cols = intlinalg.solve_many(basis_t, [list(c.vector) for c in cls_b])
+    if any(col is None for col in cols):
+        return None
+    target = [_sign_normal(col) for col in cols]
     serre = subcategory_serre_matrix(a, rng_a)
     m = len(cls_a)
     for n_abs in range(0, max_power + 1):

@@ -170,6 +170,23 @@ def test_group_sign_problem_reports_witness(tmp_path, capsys):
     assert len(witness_lines) == 1
     assert "E1" in witness_lines[0] and "E2" in witness_lines[0]
 
+def test_group_below_degree_one_reports_every_line(tmp_path, capsys):
+    # P2[9] has degree 0: no (-1)-class enumeration, so no orbits and no proxy
+    gen = [[int(j == {1: 2, 2: 1}.get(i, i)) for j in range(10)] for i in range(10)]
+    f = tmp_path / "action.cfg"
+    f.write_text(f"[group]\nmodel = P2[9]\ngen = {gen}\n")
+    code, out, err = run(capsys, "group", "--action", str(f))
+    reason = "enumeration needs degree >= 1, surface P2[9] has 0"
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "surface: P2[9]",
+        "order: 2",
+        "invariant rank: 9",
+        f"contractible-class orbits: unavailable ({reason})",
+        "H1: 0",
+        f"minimality (numerical proxy): unavailable ({reason})",
+    ]
+
 def test_group_rejects_wrong_shape(tmp_path, capsys):
     f = tmp_path / "action.cfg"
     f.write_text("[group]\nmodel = P2[3]\ngen = [[1,0],[0,1]]\n")

@@ -8,6 +8,7 @@ from sodatlas import mutation
 from sodatlas.errors import InputError, MoveError, UnsupportedRangeError, VerificationError
 from sodatlas.ktheory import (
     euler_pairing,
+    euler_row,
     line_bundle_class,
     point_class,
     structure_class,
@@ -144,13 +145,11 @@ def test_gram_is_computed_once_per_collection(monkeypatch):
     classes = coll.classes()
     expected = tuple(tuple(euler_pairing(x, y) for y in classes) for x in classes)
     calls = []
-    monkeypatch.setattr(
-        mutation, "euler_pairing", lambda x, y: calls.append(1) or euler_pairing(x, y)
-    )
+    monkeypatch.setattr(mutation, "euler_row", lambda x: calls.append(x) or euler_row(x))
     assert coll.gram == expected
     assert check_collection(coll).gram == expected
     assert subcategory_serre_matrix(coll, (1, 2))
-    assert len(calls) == len(classes) ** 2
+    assert calls == list(classes)  # one row per listed class, once
 
 
 def test_serre_matrix_beilinson():
@@ -418,6 +417,47 @@ def test_search_path_node_budget(monkeypatch):
     monkeypatch.setattr(mutation, "MAX_SEARCH_NODES", 26)
     with pytest.raises(UnsupportedRangeError, match="more than 26 collections"):
         search_path(start, unreachable, max_depth=3)
+
+
+def _depth3_layer(start):
+    """Collections first reached after three moves, in the order
+    breadth-first search meets them."""
+    seen, layer = {canonical_form(start)}, [start]
+    for _ in range(3):
+        nxt = []
+        for coll in layer:
+            for move in mutation._candidate_moves(coll, mutation.DEFAULT_SEARCH_KINDS):
+                try:
+                    out = apply_move(coll, move)
+                except (MoveError, VerificationError):
+                    continue
+                key = canonical_form(out)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(out)
+        layer = nxt
+    return layer
+
+
+# Per catalog case: the size of the depth-3 layer and the word search_path
+# returns for the goal at each listed rank of that layer.
+SEARCH_WORDS = {
+    "I-9-8": (140, {0: "L 2; L 3; L 2", 70: "L 4; R 2; L 2"}),
+    "II-9-7-8": (150, {0: "L 2; L 2; L 3", 75: "L 4; R 1; R 2"}),
+    "REF-5-6": (147, {0: "L 2; L 2; L 3", 146: "helix +K; helix +K; helix +K"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_WORDS))
+def test_search_path_words_are_pinned(case):
+    from sodatlas.catalog.scripts import link_script
+
+    size, words = SEARCH_WORDS[case]
+    start = link_script(case).side1
+    layer = _depth3_layer(start)
+    assert len(layer) == size
+    for rank, word in words.items():
+        assert render_script(search_path(start, layer[rank], max_depth=3)) == word
 
 
 def test_serre_power_match_identity_and_twist():
