@@ -25,7 +25,7 @@ from .arithmetic import (
     parse_profiles,
 )
 from .catalog.core import MoriFibreSpace, standard_sod
-from .catalog.scripts import catalog_ids, link_script, parse_side, verify_link
+from .catalog.scripts import catalog_ids, parse_side, verify_link
 from .equivariant import (
     K_NEF,
     TransitiveGSet,
@@ -35,7 +35,6 @@ from .equivariant import (
     h1_picard,
     invariant_rank,
     minimality_proxy,
-    orbit_gset,
     orbits,
 )
 from .errors import (

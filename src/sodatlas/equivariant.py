@@ -7,8 +7,16 @@ an orbitwise contraction, a permutation-basis certificate for the K-group,
 group cohomology H^1 with lattice coefficients, and the signed G-set sum
 attached to a chain of equivariant blow-ups and blow-downs.
 
+The closure records its Cayley table as it multiplies: `table[t][i]` is the
+index of generator t times element i (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, ch. 4).  Each group product is made once, there;
+everything after it works on indices.  Orbits of classes come from one walk,
+`_orbit_walk`, over index tables of the same shape, and stabilizers from
+`_stabilizer`.  Conjugacy of stabilizers is tested as h.A = B.h, so the
+layer never inverts a matrix.
+
 H^1 has one production route, `_cocycle_h1`: the unknowns are the values of
-a cocycle on the generators, and a walk of the Cayley graph supplies the
+a cocycle on the generators, and a walk of the Cayley table supplies the
 relations that cut out Z^1.  The matrices it Smith reduces have |S|.n
 columns and at most |S|.n rows, whatever the group order.  `h1_cyclic` is
 a second, independent route for cyclic groups.
@@ -27,6 +35,7 @@ from .mutation import Collection
 from .textio import render_kclass
 
 Matrix = tuple[tuple[int, ...], ...]
+Table = tuple[tuple[int, ...], ...]
 
 DEFAULT_CLOSURE_CAP = 10_000
 DEFAULT_H1_CAP = 48
@@ -46,29 +55,28 @@ def _apply(mat: Matrix, d: DivisorClass) -> DivisorClass:
     return DivisorClass(tuple(intlinalg.mat_vec(mat, list(d.coords))))
 
 
-def _close(generators, cap: int) -> tuple[Matrix, ...]:
-    """Multiplicative closure by breadth-first products, identity first."""
+def _close(generators, cap: int) -> tuple[tuple[Matrix, ...], Table]:
+    """Multiplicative closure by breadth-first products, identity first,
+    and its Cayley table: `table[t][i]` is the index of
+    `generators[t] . elements[i]`."""
     if not generators:
         raise InputError("closure needs at least one matrix")
     n = len(generators[0])
     elements = [_identity(n)]
-    seen = set(elements)
-    frontier = elements[:]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in generators:
-                p = _freeze(intlinalg.mat_mul(g, m))
-                if p not in seen:
-                    seen.add(p)
-                    elements.append(p)
-                    nxt.append(p)
-                    if len(elements) > cap:
-                        raise ActionError(
-                            f"group closure exceeded the cap of {cap} elements"
-                        )
-        frontier = nxt
-    return tuple(elements)
+    index = {elements[0]: 0}
+    table = [[] for _ in generators]
+    # The list grows while it is walked, so the walk is breadth-first.
+    for m in elements:
+        for g, row in zip(generators, table):
+            p = _freeze(intlinalg.mat_mul(g, m))
+            j = index.get(p)
+            if j is None:
+                j = index[p] = len(elements)
+                elements.append(p)
+                if len(elements) > cap:
+                    raise ActionError(f"group closure exceeded the cap of {cap} elements")
+            row.append(j)
+    return tuple(elements), tuple(map(tuple, table))
 
 
 @dataclass(frozen=True)
@@ -76,12 +84,14 @@ class GroupAction:
     """Closed matrix group on the Picard lattice of one surface model.
 
     Built through :func:`group_action`, which checks the generators and
-    enumerates the closure.
+    enumerates the closure.  `table` is the closure's Cayley table, `()`
+    for the trivial action.
     """
 
     surface: SurfaceModel
     generators: tuple[Matrix, ...]
     elements: tuple[Matrix, ...]
+    table: Table = ()
 
     @property
     def order(self) -> int:
@@ -106,8 +116,9 @@ def group_action(surface: SurfaceModel, generators, cap: int = DEFAULT_CLOSURE_C
         if _apply(g, k) != k:
             raise ActionError("generator moves the canonical class")
         frozen.append(g)
-    elements = _close(frozen, cap) if frozen else (_identity(n),)
-    return GroupAction(surface, tuple(frozen), elements)
+    if not frozen:
+        return GroupAction(surface, (), (_identity(n),))
+    return GroupAction(surface, tuple(frozen), *_close(frozen, cap))
 
 
 # -- fixed sublattice and orbits ----------------------------------------------
@@ -124,12 +135,35 @@ def invariant_rank(action: GroupAction) -> int:
     return len(intlinalg.kernel_basis(rows))
 
 
+def _orbit_walk(images, n: int) -> list[list[int]]:
+    """Orbits of the points 0..n-1 under the generators, where `images[t][i]`
+    is the point generator t sends i to.  Orbits come in the order of their
+    least point, each listed in the order the walk reaches it."""
+    assigned = [False] * n
+    parts = []
+    for start in range(n):
+        if assigned[start]:
+            continue
+        orbit = [start]
+        assigned[start] = True
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for row in images:
+                j = row[i]
+                if not assigned[j]:
+                    assigned[j] = True
+                    orbit.append(j)
+                    stack.append(j)
+        parts.append(orbit)
+    return parts
+
+
 def orbits(action: GroupAction, classes) -> tuple[tuple[DivisorClass, ...], ...]:
     """Orbit partition of a stable class set, deterministically ordered."""
     pool = sorted(set(classes), key=lambda d: d.coords)
     index = {d.coords: i for i, d in enumerate(pool)}
-    # images[t][i]: position of generator t applied to pool[i]; building it
-    # once is both the stability check and the graph the walk below follows.
+    # Building the image table is also the stability check.
     images = []
     for g in action.generators:
         row = []
@@ -141,24 +175,13 @@ def orbits(action: GroupAction, classes) -> tuple[tuple[DivisorClass, ...], ...]
                 )
             row.append(j)
         images.append(row)
-    assigned = [False] * len(pool)
-    parts = []
-    for start in range(len(pool)):
-        if assigned[start]:
-            continue
-        orbit = [start]
-        assigned[start] = True
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for row in images:
-                j = row[i]
-                if not assigned[j]:
-                    assigned[j] = True
-                    orbit.append(j)
-                    queue.append(j)
-        parts.append(tuple(pool[i] for i in sorted(orbit)))
-    return tuple(parts)
+    return tuple(
+        tuple(pool[i] for i in sorted(orbit)) for orbit in _orbit_walk(images, len(pool))
+    )
+
+
+def _stabilizer(action: GroupAction, d: DivisorClass) -> frozenset:
+    return frozenset(g for g in action.elements if _apply(g, d) == d)
 
 
 def is_invariant_collection(collection: Collection, action: GroupAction) -> bool:
@@ -210,7 +233,9 @@ class TransitiveGSet:
 
 
 def gsets_equal(a: TransitiveGSet, b: TransitiveGSet) -> bool:
-    """Equal sizes and conjugate stabilizers; size-only when data is partial."""
+    """Equal sizes and conjugate stabilizers; size-only when data is partial.
+
+    h.A.h^-1 = B exactly when h.A = B.h, which needs no inverse."""
     if a.size != b.size:
         return False
     if a.stabilizer is None or b.stabilizer is None:
@@ -218,11 +243,8 @@ def gsets_equal(a: TransitiveGSet, b: TransitiveGSet) -> bool:
     if a.group is None or a.group != b.group:
         return a.stabilizer == b.stabilizer
     for h in a.group:
-        hinv = _freeze(intlinalg.mat_inverse_integer(h))
-        conj = frozenset(
-            _freeze(intlinalg.mat_mul(h, intlinalg.mat_mul(s, hinv))) for s in a.stabilizer
-        )
-        if conj == b.stabilizer:
+        left = frozenset(_freeze(intlinalg.mat_mul(h, s)) for s in a.stabilizer)
+        if left == frozenset(_freeze(intlinalg.mat_mul(s, h)) for s in b.stabilizer):
             return True
     return False
 
@@ -231,9 +253,7 @@ def orbit_gset(action: GroupAction, classes) -> TransitiveGSet:
     parts = orbits(action, classes)
     if len(parts) != 1:
         raise ActionError(f"expected a single orbit, found {len(parts)}")
-    rep = parts[0][0]
-    stab = frozenset(g for g in action.elements if _apply(g, rep) == rep)
-    return TransitiveGSet(len(parts[0]), stab, action.elements)
+    return TransitiveGSet(len(parts[0]), _stabilizer(action, parts[0][0]), action.elements)
 
 
 def _reduce_terms(pairs):
@@ -368,37 +388,19 @@ def _pull_class(surface: SurfaceModel, cols: list[int], cls: KClass) -> KClass:
 
 
 def _class_orbits(action: GroupAction, classes) -> list[list[KClass]]:
-    """Orbit partition of a list of K-classes; raises when unstable."""
+    """Orbit partition of a list of K-classes in walk order; raises when
+    unstable."""
     vectors = {c.vector: i for i, c in enumerate(classes)}
-    parts = []
-    assigned = [False] * len(classes)
-    for i, start in enumerate(classes):
-        if assigned[i]:
-            continue
-        orbit = [start]
-        assigned[i] = True
-        queue = [start]
-        while queue:
-            c = queue.pop()
-            for g in action.generators:
-                t = sigma_kclass(c, g)
-                j = vectors.get(t.vector)
-                if j is None:
-                    raise ActionError(
-                        "minimal-model block is not invariant under the action"
-                    )
-                if not assigned[j]:
-                    assigned[j] = True
-                    orbit.append(classes[j])
-                    queue.append(classes[j])
-        parts.append(orbit)
-    return parts
-
-
-def _kclass_stabilizer(action: GroupAction, cls: KClass) -> frozenset:
-    return frozenset(
-        g for g in action.elements if sigma_kclass(cls, g).vector == cls.vector
-    )
+    images = []
+    for g in action.generators:
+        row = []
+        for c in classes:
+            j = vectors.get(sigma_kclass(c, g).vector)
+            if j is None:
+                raise ActionError("minimal-model block is not invariant under the action")
+            row.append(j)
+        images.append(row)
+    return [[classes[i] for i in orbit] for orbit in _orbit_walk(images, len(classes))]
 
 
 def atom_multiset(surface: SurfaceModel, action: GroupAction, contraction) -> list[Atom]:
@@ -434,7 +436,7 @@ def atom_multiset(surface: SurfaceModel, action: GroupAction, contraction) -> li
         parts = orbits(action, members)
         if len(parts) != 1:
             raise ActionError(f"blow-up orbit {i} splits under the action; not one orbit")
-        gset = orbit_gset(action, members)
+        gset = TransitiveGSet(len(parts[0]), _stabilizer(action, parts[0][0]), action.elements)
         payload = tuple(torsion_class(surface, e, -1) for e in parts[0])
         blown_atoms.append(permutation_atom(gset, classes=payload))
     kept = [i for i in range(len(ranges)) if i not in chosen]
@@ -456,7 +458,8 @@ def atom_multiset(surface: SurfaceModel, action: GroupAction, contraction) -> li
             atoms.append(opaque_atom("O-perp", terminal.degree, classes=tuple(pulled)))
             continue
         for orbit in _class_orbits(action, pulled):
-            stab = _kclass_stabilizer(action, orbit[0])
+            # transport keeps rank and chi, so a K-class is fixed with its c1
+            stab = _stabilizer(action, orbit[0].c1)
             gset = TransitiveGSet(len(orbit), stab, action.elements)
             atoms.append(permutation_atom(gset, classes=tuple(orbit)))
     return atoms + blown_atoms
@@ -516,19 +519,16 @@ def permutation_basis_certificate(surface: SurfaceModel, atoms, action: GroupAct
 
 # -- G-minimality, numerically ---------------------------------------------------
 
-def minimality_proxy(action: GroupAction, parts=None) -> dict:
+def minimality_proxy(action: GroupAction, parts) -> dict:
     """No stable set of pairwise-disjoint (-1)-classes exists.
 
     A purely lattice-side stand-in for G-minimality: any stable set of
     pairwise-disjoint (-1)-classes contains a single stable orbit with the
     same property, so scanning orbits is exhaustive.  The certificate is
     labeled accordingly; it does not see actual curves.  `parts` is
-    `orbits(action, action.surface.enumerate_r_classes(-1))` when the caller
-    has already computed it.
+    `orbits(action, action.surface.enumerate_r_classes(-1))`.
     """
     surface = action.surface
-    if parts is None:
-        parts = orbits(action, surface.enumerate_r_classes(-1))
     out = {"label": "numerical proxy", "minimal": True, "witness": None}
     for orbit in parts:
         if all(
@@ -544,14 +544,15 @@ def minimality_proxy(action: GroupAction, parts=None) -> dict:
 
 # -- H^1 with lattice coefficients ------------------------------------------------
 
-def _cocycle_h1(generators: tuple[Matrix, ...], elements: tuple[Matrix, ...]) -> list[int]:
+def _cocycle_h1(generators: tuple[Matrix, ...], table: Table) -> list[int]:
     """Z^1 / B^1 from the values of a cocycle on the generators.
 
-    `elements` is the closure of `generators` in the order `_close` finds
-    it: the identity first, then breadth-first by left multiplication.
+    `table` is the Cayley table `_close` records: elements are indexed in
+    the order it finds them, the identity first, then breadth-first by left
+    multiplication, and `table[t][i]` is the index of s_t times element i.
 
     A cocycle (f(gh) = f(g) + g.f(h)) is fixed by its values f(s) on the
-    generators: those are the |S|.n unknowns.  Walking the Cayley graph in
+    generators: those are the |S|.n unknowns.  Walking the Cayley table in
     that order from f(1) = 0 writes each f(g) as an n x |S|n matrix in the
     unknowns; every edge g -> s.g that reaches an element already seen adds
     the n rows f(s) + s.f(g) - f(sg) = 0.  Their kernel is all of Z^1: the g
@@ -559,19 +560,22 @@ def _cocycle_h1(generators: tuple[Matrix, ...], elements: tuple[Matrix, ...]) ->
     closed under products, so in a finite group they are all of G.  B^1 is
     spanned by the coboundaries s -> s.e_k - e_k.
     """
-    n = len(elements[0])
+    n = len(generators[0])
     m = len(generators) * n
-    value = {elements[0]: [[0] * m for _ in range(n)]}
+    # Breadth-first order reaches each element from an earlier one, so
+    # value[i] is set before the walk comes to i.
+    value = [None] * len(table[0])
+    value[0] = [[0] * m for _ in range(n)]
     relations = set()
-    for g in elements:
+    for i, f in enumerate(value):
         for t, s in enumerate(generators):
-            image = intlinalg.mat_mul(s, value[g])
+            image = intlinalg.mat_mul(s, f)
             for r in range(n):
                 image[r][t * n + r] += 1
-            sg = _freeze(intlinalg.mat_mul(s, g))
-            known = value.get(sg)
+            j = table[t][i]
+            known = value[j]
             if known is None:
-                value[sg] = image
+                value[j] = image
             else:
                 relations.update(tuple(x - y for x, y in zip(a, b)) for a, b in zip(image, known))
     # The Hermite form is canonical, so the set's order cannot show in the
@@ -598,7 +602,7 @@ def h1_lattice(generators, cap: int = DEFAULT_H1_CAP) -> list[int]:
     serves actions that no surface model can host.
     """
     generators = tuple(_freeze(g) for g in generators)
-    return _cocycle_h1(generators, _close(generators, cap))
+    return _cocycle_h1(generators, _close(generators, cap)[1])
 
 
 def h1_picard(action: GroupAction, cap: int = DEFAULT_H1_CAP) -> list[int]:
@@ -607,7 +611,9 @@ def h1_picard(action: GroupAction, cap: int = DEFAULT_H1_CAP) -> list[int]:
         raise UnsupportedRangeError(
             f"group of order {action.order} exceeds the H^1 cap of {cap}"
         )
-    return _cocycle_h1(action.generators or (action.identity(),), action.elements)
+    if not action.generators:
+        return []
+    return _cocycle_h1(action.generators, action.table)
 
 
 def h1_cyclic(generator, cap: int = DEFAULT_H1_CAP) -> list[int]:

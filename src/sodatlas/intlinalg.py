@@ -209,12 +209,6 @@ def invariant_factors(a) -> list[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
 
 
-def rank(a) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(invariant_factors(a))
-
-
 def kernel_basis(a) -> list[Vector]:
     """Basis of the integer kernel {x : a*x = 0} (a saturated sublattice)."""
     nrows = len(a)

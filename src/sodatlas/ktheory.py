@@ -94,10 +94,6 @@ def structure_class(surface: SurfaceModel) -> KClass:
     return line_bundle_class(surface, surface.zero_divisor())
 
 
-def point_class(surface: SurfaceModel) -> KClass:
-    return KClass(surface, 0, surface.zero_divisor(), 1)
-
-
 def torsion_class(surface: SurfaceModel, e: DivisorClass, k: int) -> KClass:
     if surface.r_class_value(e) != -1:
         raise InputError("torsion classes require a (-1)-class support")

@@ -24,11 +24,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 from operator import mul
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator
 
 from .errors import InputError, UnsupportedRangeError
-
-DualMode = Literal["AntiCanonical", "TwiceAntiCanonical"]
 
 _BASE_RE = re.compile(r"^(P2|F(\d+))$")
 
@@ -170,13 +168,6 @@ class SurfaceModel:
         if self_int + self.intersect(d, self.canonical) == -2:
             return self_int
         return None
-
-    def dual_class(self, d: DivisorClass, mode: DualMode = "AntiCanonical") -> DivisorClass:
-        if mode == "AntiCanonical":
-            return -self.canonical - d
-        if mode == "TwiceAntiCanonical":
-            return -2 * self.canonical - d
-        raise InputError(f"unknown dual mode {mode!r}")
 
     def blow_up(self, orbit_size: int) -> "SurfaceModel":
         if orbit_size < 1:

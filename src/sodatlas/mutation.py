@@ -9,7 +9,6 @@ per step.
 
 from __future__ import annotations
 
-import os
 import re
 from collections import deque
 from dataclasses import dataclass, replace
@@ -23,8 +22,6 @@ from .ktheory import KClass, euler_row, mutate_class, twist
 from .lattice import SurfaceModel
 from .textio import _parse_int, render_kclass
 
-DEPTH_ENV = "SODATLAS_DEPTH"
-DEFAULT_SEARCH_DEPTH = 8
 # Largest |n| in `serre a..b ^n`; the catalog uses |n| <= 3 and
 # serre_power_match searches |N| <= 12.
 MAX_SERRE_POWER = 64
@@ -35,7 +32,7 @@ MAX_SERRE_POWER = 64
 MAX_CLASS_BITS = 4096
 # Most collections search_path expands.  Exhaustive searches expand at most
 # 65 from the 15 catalog cases of the move-search benchmark at depth 3, and
-# 2,109 from the plane's Beilinson collection at the default depth 8.
+# 2,109 from the plane's Beilinson collection at depth 8.
 MAX_SEARCH_NODES = 10_000
 
 
@@ -410,12 +407,13 @@ def apply_move(collection: Collection, move: Move) -> Collection:
 
 # -- comparison -----------------------------------------------------------
 
-def _span_form(block: Block) -> tuple[tuple[int, ...], ...]:
-    return intlinalg.hermite_row_form([list(o.cls.vector) for o in block.objects])
-
-
-def _norm_vectors(block: Block) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(o.cls.normalized_sign().vector for o in block.objects))
+def _block_key(block: Block) -> tuple:
+    """A block up to sign and order of its classes: an opaque block by its
+    size and integer span, any other by its sign-normalized classes."""
+    if block.opaque:
+        span = intlinalg.hermite_row_form([list(o.cls.vector) for o in block.objects])
+        return ("opaque", block.size, span)
+    return ("plain", tuple(sorted(o.cls.normalized_sign().vector for o in block.objects)))
 
 
 def _sign_normal(col: list[int]) -> tuple[int, ...]:
@@ -439,10 +437,7 @@ def collections_equal(a: Collection, b: Collection, mode: str = "Strict") -> boo
             if ba.classes() != bb.classes():
                 return False
         elif mode == "UpToSignAndBlockPerm":
-            if ba.opaque:
-                if _span_form(ba) != _span_form(bb):
-                    return False
-            elif _norm_vectors(ba) != _norm_vectors(bb):
+            if _block_key(ba) != _block_key(bb):
                 return False
         else:
             raise InputError(f"unknown comparison mode {mode!r}")
@@ -450,15 +445,9 @@ def collections_equal(a: Collection, b: Collection, mode: str = "Strict") -> boo
 
 
 def canonical_form(collection: Collection):
-    """Hashable key identifying a collection up to the
+    """Hashable key identifying a collection on its surface up to the
     UpToSignAndBlockPerm comparison."""
-    parts = []
-    for b in collection.blocks:
-        if b.opaque:
-            parts.append(("opaque", _span_form(b)))
-        else:
-            parts.append(("plain", _norm_vectors(b)))
-    return tuple(parts)
+    return tuple(_block_key(b) for b in collection.blocks)
 
 
 # -- scripts and certificates ----------------------------------------------
@@ -537,18 +526,6 @@ VERDICT_FAIL = "mismatch at K-theory level"
 
 # -- search ----------------------------------------------------------------
 
-def _search_depth(max_depth: int | None) -> int:
-    if max_depth is not None:
-        return max_depth
-    env = os.environ.get(DEPTH_ENV)
-    if env:
-        try:
-            return max(0, int(env))
-        except ValueError as exc:
-            raise InputError(f"{DEPTH_ENV} must be an integer, got {env!r}") from exc
-    return DEFAULT_SEARCH_DEPTH
-
-
 def _candidate_moves(collection: Collection, kinds) -> list[Move]:
     n = len(collection.blocks)
     out = []
@@ -571,28 +548,30 @@ DEFAULT_SEARCH_KINDS = ("L", "R", "helix-", "helix+", "swap")
 def search_path(
     start: Collection,
     goal: Collection,
-    max_depth: int | None = None,
+    max_depth: int,
     kinds=DEFAULT_SEARCH_KINDS,
 ):
-    """Breadth-first search for a move word taking `start` to `goal` up to
-    UpToSignAndBlockPerm, or None within the depth bound.  Raises
+    """Breadth-first search for a move word of at most `max_depth` moves
+    taking `start` to `goal` up to UpToSignAndBlockPerm, or None.  Raises
     UnsupportedRangeError once it would expand more than MAX_SEARCH_NODES
     collections."""
-    depth = _search_depth(max_depth)
-    if collections_equal(start, goal, "UpToSignAndBlockPerm"):
+    # Moves keep the surface, so a goal on another surface is never reached.
+    goal_key = canonical_form(goal) if goal.surface == start.surface else None
+    key = canonical_form(start)
+    if key == goal_key:
         return ()
-    seen = {canonical_form(start)}
+    seen = {key}
     frontier = deque([(start, (), 0)])
     expanded = 0
     while frontier:
         current, path, d = frontier.popleft()
-        if d >= depth:
+        if d >= max_depth:
             continue
         expanded += 1
         if expanded > MAX_SEARCH_NODES:
             raise UnsupportedRangeError(
                 f"search expanded more than {MAX_SEARCH_NODES} collections "
-                f"within depth {depth}"
+                f"within depth {max_depth}"
             )
         for move in _candidate_moves(current, kinds):
             try:
@@ -604,7 +583,7 @@ def search_path(
                 continue
             seen.add(key)
             new_path = path + (move,)
-            if collections_equal(nxt, goal, "UpToSignAndBlockPerm"):
+            if key == goal_key:
                 return new_path
             frontier.append((nxt, new_path, d + 1))
     return None

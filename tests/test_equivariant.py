@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sodatlas import intlinalg
 from sodatlas.catalog.core import MoriFibreSpace, standard_sod
 from sodatlas.equivariant import (
     Atom,
@@ -283,6 +284,51 @@ def test_conjugate_stabilizers_compare_equal():
     assert burnside_invariant([("BlowUp", a), ("BlowDown", b)]).is_zero()
 
 
+def conjugate_by_inverse(a, b, group):
+    """Former `gsets_equal` test: some h in the group with h.A.h^-1 = B."""
+    for h in group:
+        hinv = intlinalg.mat_inverse_integer(h)
+        conj = frozenset(
+            tuple(map(tuple, intlinalg.mat_mul(h, intlinalg.mat_mul(s, hinv)))) for s in a
+        )
+        if conj == b:
+            return True
+    return False
+
+
+# Pairs of (-1)-class stabilizers counted by (conjugate, equal orbit sizes).
+@pytest.mark.parametrize(
+    "surface, gens, counts",
+    [
+        # S3 on P2[3]: all six stabilizers are conjugate subgroups of order 2
+        (BL3, [perm_matrix(4, {1: 2, 2: 3, 3: 1}), perm_matrix(4, {1: 2, 2: 1})],
+         {(True, True): 36}),
+        # S4 on P2[4]: E_i is fixed by an S3, H - E_i - E_j by a Klein four-group
+        (BL4, [perm_matrix(5, {1: 2, 2: 3, 3: 4, 4: 1}), perm_matrix(5, {1: 2, 2: 1})],
+         {(True, True): 52, (False, False): 48}),
+        # D4 on P2[4]: E_1 and H - E_1 - E_2 have stabilizers of order 2 that
+        # are not conjugate
+        (BL4, [perm_matrix(5, {1: 2, 2: 3, 3: 4, 4: 1}), perm_matrix(5, {1: 3, 3: 1})],
+         {(True, True): 36, (False, True): 32, (False, False): 32}),
+    ],
+)
+def test_stabilizer_conjugacy_agrees_with_conjugation_by_inverses(surface, gens, counts):
+    action = group_action(surface, gens)
+    gsets = []
+    for part in orbits(action, surface.enumerate_r_classes(-1)):
+        for d in part:
+            fixed = list(d.coords)
+            stab = frozenset(g for g in action.elements if intlinalg.mat_vec(g, fixed) == fixed)
+            gsets.append(TransitiveGSet(len(part), stab, action.elements))
+    verdicts = Counter()
+    for a in gsets:
+        for b in gsets:
+            expected = conjugate_by_inverse(a.stabilizer, b.stabilizer, action.elements)
+            assert gsets_equal(a, b) == expected
+            verdicts[expected, a.size == b.size] += 1
+    assert verdicts == counts
+
+
 def test_burnside_of_empty_list_is_zero():
     assert burnside_invariant([]).is_zero()
 
@@ -442,19 +488,21 @@ def test_certificate_rejects_an_incomplete_basis():
 # -- G-minimality proxy ------------------------------------------------------------
 
 def test_hexagon_action_is_numerically_minimal():
-    report = minimality_proxy(hexagon_action())
+    action = hexagon_action()
+    report = minimality_proxy(action, orbits(action, BL3.enumerate_r_classes(-1)))
     assert report == {"label": "numerical proxy", "minimal": True, "witness": None}
 
 
 def test_swap_action_is_not_minimal():
     swap = group_action(BL2, [perm_matrix(3, {1: 2, 2: 1})])
-    report = minimality_proxy(swap)
+    report = minimality_proxy(swap, orbits(swap, BL2.enumerate_r_classes(-1)))
     assert not report["minimal"]
     assert sorted(report["witness"]) == [[0, 0, 1], [0, 1, 0]]
 
 
 def test_plane_is_trivially_minimal():
-    assert minimality_proxy(group_action(P2, []))["minimal"]
+    trivial = group_action(P2, [])
+    assert minimality_proxy(trivial, orbits(trivial, P2.enumerate_r_classes(-1)))["minimal"]
 
 
 # -- H^1 -----------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Byte-exact CLI output: the certificate of every stored link and the
-fixed text of `sod` and `mutate`.  Any refactor of the checking, rendering
-or replay code must leave these bytes unchanged."""
+"""Byte-exact CLI output: the certificate of every stored link, the
+fixed text of `sod` and `mutate`, and the full `group` output on fixed
+actions.  Any refactor of the checking, rendering, replay or symmetry code
+must leave these bytes unchanged."""
 
 import hashlib
+import json
 
 from sodatlas import cli
 
@@ -61,3 +63,71 @@ def test_mutate_with_an_empty_script_prints_the_start_gram(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out == MUTATE_EMPTY_SCRIPT
+
+
+# -- group ----------------------------------------------------------------------
+
+def perm(n, *cycles):
+    """Matrix on P2[n] (basis H, E1..En; columns are images) permuting the
+    E_i along the given cycles."""
+    image = {}
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            image[a] = b
+    return [[int(i == image.get(j, j)) for j in range(n + 1)] for i in range(n + 1)]
+
+
+def involution(n):
+    """Geiser (n = 7) or Bertini (n = 8) involution D -> (2 D.K / K^2) K - D."""
+    k = [-3] + [1] * n
+    return [
+        [(2 * (-3 if j == 0 else -1) // (9 - n)) * k[i] - (i == j) for j in range(n + 1)]
+        for i in range(n + 1)
+    ]
+
+
+HEX_ROT = [[2, 1, 1, 1], [-1, -1, 0, -1], [-1, -1, -1, 0], [-1, 0, -1, -1]]
+CREMONA = [
+    [2, 1, 1, 1, 0],
+    [-1, 0, -1, -1, 0],
+    [-1, -1, 0, -1, 0],
+    [-1, -1, -1, 0, 0],
+    [0, 0, 0, 0, 1],
+]
+
+# The thirteen actions of the group-h1 benchmark, unconjugated and in its
+# order, then S4 on P2[4]: (number of blown-up points, generators).
+GROUP_ACTIONS = [
+    (3, [perm(3, [1, 2, 3])]),
+    (3, [perm(3, [1, 2, 3]), perm(3, [1, 2])]),
+    (4, [perm(4, [1, 2, 3, 4]), perm(4, [1, 3])]),
+    (4, [perm(4, [1, 2, 3]), perm(4, [1, 2], [3, 4])]),
+    (6, [perm(6, [1, 2, 3], [4, 5])]),
+    (6, [perm(6, [1, 2, 3]), perm(6, [4, 5, 6])]),
+    (5, [perm(5, [1, 2, 3]), perm(5, [1, 2]), perm(5, [4, 5])]),
+    (3, [HEX_ROT, perm(3, [1, 2])]),
+    (7, [involution(7)]),
+    (7, [involution(7), perm(7, [1, 2])]),
+    (8, [involution(8)]),
+    (8, [involution(8), perm(8, [1, 2])]),
+    (4, [perm(4, [1, 2]), perm(4, [2, 3]), perm(4, [3, 4]), CREMONA]),
+    (4, [perm(4, [1, 2, 3, 4]), perm(4, [1, 2])]),
+]
+
+GROUP_SHA256 = "f1f17b8fac524a441b0f527a23978b1b5760fcf96ea89decfe110cf3f75175c7"
+GROUP_BYTES = 24_687
+
+
+def test_group_output_bytes(tmp_path, capsys):
+    out = []
+    for i, (n, gens) in enumerate(GROUP_ACTIONS):
+        f = tmp_path / f"action-{i}.cfg"
+        f.write_text(
+            f"[group]\nmodel = P2[{n}]\n" + "".join(f"gen = {json.dumps(g)}\n" for g in gens)
+        )
+        code = cli.main(["group", "--action", str(f)])
+        assert code == 0
+        out.append(capsys.readouterr().out)
+    text = "".join(out).encode("utf-8")
+    assert len(text) == GROUP_BYTES
+    assert hashlib.sha256(text).hexdigest() == GROUP_SHA256

@@ -118,6 +118,22 @@ ACTIONS = {
 }
 
 
+S4_P2_4 = (4, [perm(4, [1, 2, 3, 4]), perm(4, [1, 2])])
+
+
+@pytest.mark.parametrize("name", [*ACTIONS, "s4-p2-4"])
+def test_closure_table_holds_every_generator_product(name):
+    n, gens = S4_P2_4 if name == "s4-p2-4" else ACTIONS[name]
+    action = group_action(SurfaceModel("P2", (n,)), gens)
+    elements = action.elements
+    assert elements == closure(gens)  # the same breadth-first order, identity first
+    assert len(action.table) == len(gens)
+    for g, row in zip(action.generators, action.table):
+        assert len(row) == len(elements)
+        for i, e in enumerate(elements):
+            assert elements[row[i]] == _freeze(intlinalg.mat_mul(g, e))
+
+
 @cache
 def oracle(name):
     return bar_h1(closure(ACTIONS[name][1]))
@@ -157,6 +173,7 @@ def test_renumbering_the_exceptional_classes_keeps_h1(case):
 @pytest.mark.parametrize("surface", [SurfaceModel("P2"), SurfaceModel("P2", (3,))])
 def test_trivial_group_agrees_with_the_bar_complex(surface):
     action = group_action(surface, [])
+    assert action.table == ()
     assert h1_picard(action) == bar_h1(action.elements) == []
 
 

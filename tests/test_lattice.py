@@ -146,23 +146,6 @@ def test_enumeration_gate():
     assert len(low.enumerate_r_classes(-1)) == 56
 
 
-def test_dual_class_modes():
-    x6 = DEGREE_MODELS[6]
-    for d in x6.enumerate_r_classes(0):
-        dd = x6.dual_class(d)
-        assert x6.r_class_value(dd) == x6.degree - 4 - 0
-        assert x6.dual_class(dd) == d
-    # -2K duality preserves (d-2)-classes: on degree 6, 2H is a 4-class
-    four = 2 * x6.basis_class("H")
-    assert x6.r_class_value(four) == x6.degree - 2
-    twice = x6.dual_class(four, "TwiceAntiCanonical")
-    assert x6.r_class_value(twice) == x6.degree - 2
-    f0 = F0
-    h = f0.basis_class("h")
-    assert f0.dual_class(h).coords == (2, 1)  # 2s + h has square 4
-    assert f0.intersect(f0.dual_class(h), f0.dual_class(h)) == 4
-
-
 def test_blow_up_bookkeeping():
     s = P2.blow_up(3)
     assert s.describe() == "P2[3]"

@@ -10,7 +10,6 @@ from sodatlas.ktheory import (
     euler_pairing,
     euler_row,
     line_bundle_class,
-    point_class,
     structure_class,
     torsion_class,
     twist,
@@ -391,21 +390,6 @@ def test_search_path_twist_within_depth():
     assert path is not None and len(path) <= 4
     replayed, _ = run_script(beilinson(), path)
     assert collections_equal(replayed, target, "UpToSignAndBlockPerm")
-
-
-def test_search_path_depth_env(monkeypatch):
-    target = collection_of_classes(
-        P2,
-        [
-            [line_bundle_class(P2, -3 * H)],
-            [line_bundle_class(P2, -2 * H)],
-            [line_bundle_class(P2, -1 * H)],
-        ],
-    )
-    monkeypatch.setenv("SODATLAS_DEPTH", "0")
-    assert search_path(beilinson(), target) is None
-    monkeypatch.setenv("SODATLAS_DEPTH", "2")
-    assert search_path(beilinson(), target) is not None
 
 
 def test_search_path_node_budget(monkeypatch):
