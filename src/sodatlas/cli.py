@@ -37,15 +37,9 @@ from .equivariant import (
     minimality_proxy,
     orbits,
 )
-from .errors import (
-    InputError,
-    MoveError,
-    SodatlasError,
-    UnsupportedRangeError,
-    VerificationError,
-)
+from .errors import InputError, SodatlasError, UnsupportedRangeError
 from .lattice import SurfaceModel
-from .mutation import VERDICT_OK, parse_script, run_script
+from .mutation import VERDICT_OK, _render_blocks, parse_script, run_script
 from .textio import (
     _names_of,
     _parse_int,
@@ -186,12 +180,12 @@ def _cmd_mutate(args) -> int:
     names = _names_of(surface, stanza)
     coll = parse_side(surface, stanza_single(stanza, "blocks"), names)
     moves = parse_script(_read(args.script))
-    print(f"start: {_render_blocks_line(_collection_records(coll))}")
+    print(f"start: {_render_blocks_line(_render_blocks(coll))}")
     final, steps = run_script(coll, moves, args.collection)
     for record in steps:
         print(f"step {record['step']}: {record['move']}")
         print(f"  {_render_blocks_line(record['blocks'])}")
-    print(f"final: {_render_blocks_line(_collection_records(final))}")
+    print(f"final: {_render_blocks_line(_render_blocks(final))}")
     print("gram:")
     _print_gram(final.gram)
     return 0
@@ -388,10 +382,6 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MoveError, VerificationError) as exc:
-        sys.stdout.flush()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SodatlasError as exc:
         sys.stdout.flush()
         print(f"error: {exc}", file=sys.stderr)

@@ -5,20 +5,25 @@ block is a tuple of classes, and a collection is legal when its Euler-pairing
 Gram matrix is unipotent upper triangular outside opaque blocks.  Moves
 rewrite collections; scripts replay move lists and log a verifiable record
 per step.
+
+An object keeps a name only where a standard decomposition gives one (`O`,
+`O(D)`, `E`); names take no part in equality, and any other label is the
+class rendered on demand.  serre_power_match tries the exponents 0, 1, -1,
+2, -2, ... in that order, so +N comes before -N.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import isqrt
 from operator import mul
 
 from . import intlinalg
 from .errors import InputError, MoveError, UnsupportedRangeError, VerificationError
-from .ktheory import KClass, euler_row, mutate_class, twist
+from .ktheory import KClass, class_from_vector, euler_row, mutate_class, twist
 from .lattice import SurfaceModel
 from .textio import _parse_int, render_kclass
 
@@ -39,7 +44,11 @@ MAX_SEARCH_NODES = 10_000
 @dataclass(frozen=True)
 class ExcObject:
     cls: KClass
-    label: str = ""
+    name: str = field(default="", compare=False)
+
+    @property
+    def label(self) -> str:
+        return self.name or render_kclass(self.cls)
 
 
 @dataclass(frozen=True)
@@ -100,11 +109,9 @@ class Collection:
 
 
 def block_of_classes(classes, opaque: bool = False, labels=None) -> Block:
-    objs = []
-    for i, c in enumerate(classes):
-        label = labels[i] if labels else render_kclass(c)
-        objs.append(ExcObject(c, label))
-    return Block(tuple(objs), opaque=opaque)
+    """A block of `classes`; `labels`, if given, are their names."""
+    names = labels or [""] * len(classes)
+    return Block(tuple(map(ExcObject, classes, names)), opaque=opaque)
 
 
 def collection_of_classes(surface: SurfaceModel, blocks, full: bool = True) -> Collection:
@@ -250,10 +257,6 @@ def render_script(moves) -> str:
     return "; ".join(render_move(m) for m in moves)
 
 
-def _relabel(cls: KClass) -> ExcObject:
-    return ExcObject(cls, render_kclass(cls))
-
-
 def _mutate_block(moving: Block, through: Block, side: str) -> Block:
     if through.opaque:
         raise MoveError("cannot mutate through an opaque block")
@@ -264,7 +267,7 @@ def _mutate_block(moving: Block, through: Block, side: str) -> Block:
         cls = obj.cls
         for e in through.objects:
             cls = mutate_class(e.cls, cls, side)
-        new.append(_relabel(cls))
+        new.append(ExcObject(cls))
     return Block(tuple(new), opaque=moving.opaque)
 
 
@@ -293,14 +296,21 @@ def subcategory_serre_matrix(collection: Collection, rng: tuple[int, int] | None
         raise InputError(f"block range {a}..{b} out of bounds")
     span, full = _flat_span(collection, a, b), collection.gram
     gram = [list(full[i][span.start : span.stop]) for i in span]
-    if intlinalg.det(gram) not in (1, -1):
-        raise InputError("subcategory Gram matrix is not unimodular")
-    inv = intlinalg.mat_inverse_integer(gram)
+    try:
+        inv = intlinalg.mat_inverse_integer(gram)
+    except ValueError:  # exactly when det(gram) is not +-1
+        raise InputError("subcategory Gram matrix is not unimodular") from None
     return intlinalg.mat_mul(inv, intlinalg.transpose(gram))
 
 
-def _step(collection: Collection, move: Move) -> Collection:
-    """One move; the only place a produced collection is checked."""
+def _twisted(block: Block, d) -> Block:
+    return Block(tuple(ExcObject(twist(o.cls, d)) for o in block.objects), opaque=block.opaque)
+
+
+def apply_move(collection: Collection, move: Move) -> Collection:
+    """One move; raises MoveError on a violated precondition and
+    VerificationError if the rewritten collection fails check_collection.
+    This is the only place a produced collection is checked."""
     blocks = list(collection.blocks)
     n = len(blocks)
     k = move.kind
@@ -319,13 +329,9 @@ def _step(collection: Collection, move: Move) -> Collection:
         moved = _mutate_block(blocks[i], blocks[i + 1], "Right")
         blocks[i], blocks[i + 1] = blocks[i + 1], moved
     elif k == "helix-":
-        first = blocks.pop(0)
-        mk = -1 * collection.surface.canonical
-        blocks.append(Block(tuple(_relabel(twist(o.cls, mk)) for o in first.objects), opaque=first.opaque))
+        blocks.append(_twisted(blocks.pop(0), -1 * collection.surface.canonical))
     elif k == "helix+":
-        last = blocks.pop()
-        pk = collection.surface.canonical
-        blocks.insert(0, Block(tuple(_relabel(twist(o.cls, pk)) for o in last.objects), opaque=last.opaque))
+        blocks.insert(0, _twisted(blocks.pop(), collection.surface.canonical))
     elif k == "swap":
         if move.index >= n:
             raise MoveError("swap needs a block on the right")
@@ -360,29 +366,22 @@ def _step(collection: Collection, move: Move) -> Collection:
             raise MoveError(f"block range {a}..{b} out of bounds")
         if a != 1 and b != n:
             raise MoveError("serre power needs an initial or terminal block range")
-        mat = subcategory_serre_matrix(collection, (a, b))
-        power = intlinalg.mat_pow(mat, move.power)
-        old = [o.cls for blk in blocks[a - 1 : b] for o in blk.objects]
-        zero = KClass(collection.surface, 0, collection.surface.zero_divisor(), 0)
-        new_classes = []
-        for j in range(len(old)):
-            acc = zero
-            for i in range(len(old)):
-                acc = acc + power[i][j] * old[i]
-            new_classes.append(acc)
-        bits = max(abs(x) for c in new_classes for x in c.vector).bit_length()
+        power = intlinalg.mat_pow(subcategory_serre_matrix(collection, (a, b)), move.power)
+        # Column j of the power P is the image of the j-th class, so the rows
+        # of P^T V are the new class vectors (V: the old ones, row by row).
+        old = [list(o.cls.vector) for blk in blocks[a - 1 : b] for o in blk.objects]
+        new_vectors = intlinalg.mat_mul(intlinalg.transpose(power), old)
+        bits = max(abs(x) for v in new_vectors for x in v).bit_length()
         if bits > MAX_CLASS_BITS:
             raise InputError(
                 f"{render_move(move)} gives a class coordinate of {bits} bits, "
                 f"above the bound of {MAX_CLASS_BITS} bits"
             )
+        new = [ExcObject(class_from_vector(collection.surface, v)) for v in new_vectors]
         at = 0
         for bi in range(a - 1, b):
             size = blocks[bi].size
-            blocks[bi] = Block(
-                tuple(_relabel(c) for c in new_classes[at : at + size]),
-                opaque=blocks[bi].opaque,
-            )
+            blocks[bi] = Block(tuple(new[at : at + size]), opaque=blocks[bi].opaque)
             at += size
     else:
         raise InputError(f"unknown move kind {k!r}")
@@ -390,19 +389,9 @@ def _step(collection: Collection, move: Move) -> Collection:
     report = check_collection(out)
     if not report.ok:
         raise VerificationError(
-        "collection broke after move "
-        + render_move(move)
-        + ": "
-        + "; ".join(report.violations)
+            f"collection broke after move {render_move(move)}: " + "; ".join(report.violations)
         )
     return out
-
-
-def apply_move(collection: Collection, move: Move) -> Collection:
-    """One move; raises MoveError on a violated precondition and
-    VerificationError if the rewritten collection fails check_collection.
-    The produced collection is checked once, inside the move step."""
-    return _step(collection, move)
 
 
 # -- comparison -----------------------------------------------------------
@@ -487,7 +476,7 @@ def _replay(collection: Collection, moves, case: str = ""):
     states, steps = [collection], []
     for idx, move in enumerate(moves, 1):
         try:
-            states.append(_step(states[-1], move))
+            states.append(apply_move(states[-1], move))
         except (MoveError, VerificationError) as exc:
             raise VerificationError(
                 f"{case or 'script'}: step {idx} ({render_move(move)}) failed: {exc}"
@@ -526,31 +515,21 @@ VERDICT_FAIL = "mismatch at K-theory level"
 
 # -- search ----------------------------------------------------------------
 
-def _candidate_moves(collection: Collection, kinds) -> list[Move]:
-    n = len(collection.blocks)
-    out = []
-    if "L" in kinds:
-        out.extend(Move("L", index=i) for i in range(2, n + 1))
-    if "R" in kinds:
-        out.extend(Move("R", index=i) for i in range(1, n))
-    if "helix-" in kinds and n > 1:
-        out.append(Move("helix-"))
-    if "helix+" in kinds and n > 1:
-        out.append(Move("helix+"))
-    if "swap" in kinds:
-        out.extend(Move("swap", index=i) for i in range(1, n))
-    return out
-
-
+# The move kinds search_path tries, in the order it tries them.
 DEFAULT_SEARCH_KINDS = ("L", "R", "helix-", "helix+", "swap")
 
 
-def search_path(
-    start: Collection,
-    goal: Collection,
-    max_depth: int,
-    kinds=DEFAULT_SEARCH_KINDS,
-):
+def _candidate_moves(collection: Collection) -> list[Move]:
+    n = len(collection.blocks)
+    out = [Move("L", index=i) for i in range(2, n + 1)]
+    out += [Move("R", index=i) for i in range(1, n)]
+    if n > 1:
+        out += [Move("helix-"), Move("helix+")]
+    out += [Move("swap", index=i) for i in range(1, n)]
+    return out
+
+
+def search_path(start: Collection, goal: Collection, max_depth: int):
     """Breadth-first search for a move word of at most `max_depth` moves
     taking `start` to `goal` up to UpToSignAndBlockPerm, or None.  Raises
     UnsupportedRangeError once it would expand more than MAX_SEARCH_NODES
@@ -573,7 +552,7 @@ def search_path(
                 f"search expanded more than {MAX_SEARCH_NODES} collections "
                 f"within depth {max_depth}"
             )
-        for move in _candidate_moves(current, kinds):
+        for move in _candidate_moves(current):
             try:
                 nxt = apply_move(current, move)
             except (MoveError, VerificationError):
@@ -598,8 +577,8 @@ def serre_power_match(
 ):
     """Smallest |N| with S^N carrying the listed blocks of `a` onto those of
     `b` (per block, up to order and a sign per object), where S is the
-    subcategory Serre matrix of the `a` range; None if the block shapes or
-    spans differ or no power fits."""
+    subcategory Serre matrix of the `a` range, trying N before -N; None if
+    the block shapes or spans differ or no power fits."""
     blocks_a = a.blocks[rng_a[0] - 1 : rng_a[1]]
     blocks_b = b.blocks[rng_b[0] - 1 : rng_b[1]]
     sizes = [blk.size for blk in blocks_a]
@@ -617,17 +596,20 @@ def serre_power_match(
         return None
     target = [_sign_normal(col) for col in cols]
     serre = subcategory_serre_matrix(a, rng_a)
-    m = len(cls_a)
-    for n_abs in range(0, max_power + 1):
-        for n in ({0} if n_abs == 0 else {n_abs, -n_abs}):
-            power = intlinalg.mat_pow(serre, n)
-            images = [_sign_normal([power[i][j] for i in range(m)]) for j in range(m)]
-            at, ok = 0, True
-            for size in sizes:
-                if sorted(images[at : at + size]) != sorted(target[at : at + size]):
-                    ok = False
-                    break
-                at += size
-            if ok:
+    inverse = intlinalg.mat_inverse_integer(serre)
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    forward = backward = intlinalg.identity(len(cls_a))
+    for n_abs in range(max_power + 1):
+        tries = [(0, forward)]
+        if n_abs:
+            forward = intlinalg.mat_mul(forward, serre)
+            backward = intlinalg.mat_mul(backward, inverse)
+            tries = [(n_abs, forward), (-n_abs, backward)]
+        for n, power in tries:
+            images = [_sign_normal(col) for col in zip(*power)]
+            if all(
+                sorted(images[at : at + size]) == sorted(target[at : at + size])
+                for at, size in zip(starts, sizes)
+            ):
                 return n
     return None

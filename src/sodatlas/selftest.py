@@ -26,18 +26,11 @@ from .arithmetic import (
 from .catalog.core import (
     LinkDescriptor,
     MoriFibreSpace,
-    apply_divisor_matrix,
     e_bundle_class,
     standard_sod,
     validate_link,
 )
-from .catalog.scripts import (
-    _matrix_on_span,
-    _span_classes,
-    catalog_ids,
-    link_script,
-    verify_link,
-)
+from .catalog.scripts import catalog_ids, link_script, verify_link
 from .equivariant import (
     burnside_invariant,
     group_action,
@@ -65,9 +58,7 @@ from .mutation import (
     apply_move,
     collection_of_classes,
     collections_equal,
-    run_script,
     search_path,
-    serre_power_match,
     subcategory_serre_matrix,
 )
 
@@ -154,38 +145,28 @@ def criterion_2() -> str:
 def criterion_3() -> str:
     """Serre power = minus the involution on the complement of O, fibre
     classes exchanged on the rank-change links, and a finite Serre power
-    matching the far side over a curve."""
+    matching the far side over a curve: the post records of each replay,
+    with the cube on degree-1 roofs, the square on degree-2 roofs and
+    |N| <= 12 over a curve."""
     seen = {"deg1": 0, "deg2": 0, "dual": 0, "match": 0}
     for case in catalog_ids():
         script = link_script(case)
-        for post in script.posts:
+        if not script.posts:
+            continue
+        records = verify_link(case)["steps"][-len(script.posts) :]
+        for post, record in zip(script.posts, records):
+            _ensure(record["move"] == post.label and record["ok"], f"{case}: {post.label} failed")
             if post.kind == "serre-inv":
-                rng, k = post.rng, post.power
                 want = 3 if script.roof.degree == 1 else 2
-                _ensure(k == want, f"{case}: power {k} on a degree-{script.roof.degree} roof")
-                serre = subcategory_serre_matrix(script.side1, rng)
-                sigma = _matrix_on_span(script, _span_classes(script.side1, rng))
-                _ensure(sigma is not None, f"{case}: involution does not preserve the span")
                 _ensure(
-                    intlinalg.mat_pow(serre, k) == intlinalg.mat_neg(sigma),
-                    f"{case}: Serre^{k} != -sigma on blocks {rng[0]}..{rng[1]}",
+                    post.power == want,
+                    f"{case}: power {post.power} on a degree-{script.roof.degree} roof",
                 )
                 seen["deg1" if script.roof.degree == 1 else "deg2"] += 1
             elif post.kind == "sigma-dual":
-                a, b = post.names
-                image = apply_divisor_matrix(script.roof, script.involution, script.dictionary[a])
-                _ensure(
-                    image == script.dictionary[b],
-                    f"{case}: involution does not exchange {a} and {b}",
-                )
                 seen["dual"] += 1
-            elif post.kind == "serre-match":
-                partial, _ = run_script(script.side1, script.moves[: post.prefix], case)
-                n = serre_power_match(partial, post.rng, script.side2, post.far, 12)
-                _ensure(
-                    n is not None and abs(n) <= 12,
-                    f"{case}: no Serre power within |N| <= 12",
-                )
+            else:
+                _ensure(post.power <= 12, f"{case}: Serre power bound {post.power} above 12")
                 seen["match"] += 1
     _ensure(seen["deg1"] >= 1, "no degree-1 roof exercised the cube identity")
     _ensure(seen["deg2"] >= 1, "no degree-2 roof exercised the square identity")

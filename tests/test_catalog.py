@@ -320,8 +320,8 @@ def test_replay_intermediate_chain_for_nine_eight():
 
 def test_verify_link_replays_each_move_once(monkeypatch):
     calls = []
-    step = mutation._step
-    monkeypatch.setattr(mutation, "_step", lambda c, m: calls.append(m) or step(c, m))
+    step = mutation.apply_move
+    monkeypatch.setattr(mutation, "apply_move", lambda c, m: calls.append(m) or step(c, m))
     for cid in ("II-curve-5-1", "II-curve-6-2", "IV-2"):
         calls.clear()
         assert verify_link(cid)["verdict"] == VERDICT_OK
@@ -424,18 +424,22 @@ def test_iv_low_degree_fibration_swap():
 
 def test_curve_cases_reach_a_serre_power():
     found = {}
-    for n in (1, 2, 3):
-        for deg, prefix in ((5, 5), (6, 5 + (n % 2))):
-            cid = f"II-curve-{deg}-{n}"
-            script = link_script(cid)
-            partial, _ = run_script(script.side1, script.moves[:prefix], cid)
-            power = serre_power_match(partial, (2, 3), script.side2, (2, 3), 12)
-            assert power is not None, cid
-            found[cid] = power
-    assert found["II-curve-5-1"] == -1
-    assert found["II-curve-5-3"] == -3
-    assert found["II-curve-6-1"] == 0
-    assert found["II-curve-6-2"] == -1
+    for cid in catalog_ids():
+        script = link_script(cid)
+        for post in script.posts:
+            if post.kind == "serre-match":
+                partial, _ = run_script(script.side1, script.moves[: post.prefix], cid)
+                found[cid] = serre_power_match(
+                    partial, post.rng, script.side2, post.far, post.power
+                )
+    assert found == {
+        "II-curve-5-1": -1,
+        "II-curve-5-2": -2,
+        "II-curve-5-3": -3,
+        "II-curve-6-1": 0,
+        "II-curve-6-2": -1,
+        "II-curve-6-3": -1,
+    }
 
 
 def test_serre_power_match_needs_matching_shape():

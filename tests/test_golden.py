@@ -36,6 +36,12 @@ gram:
   0 0 1
 """
 
+# One script through every move kind the mutate path renders: L, R, both
+# helix turns and serre powers of both signs.
+MUTATE_SCRIPT = "L 2; R 1; helix -K; helix +K; serre 1..2 ^-1; serre 1..3 ^2\n"
+MUTATE_SHA256 = "fbe591fc55d44fd11034fe6caa5f12a28d3685c774a5fb6f3a1507dcbe47c0d4"
+MUTATE_BYTES = 471
+
 
 def test_verify_link_all_bytes(capsys):
     code = cli.main(["verify-link", "--all"])
@@ -63,6 +69,18 @@ def test_mutate_with_an_empty_script_prints_the_start_gram(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out == MUTATE_EMPTY_SCRIPT
+
+
+def test_mutate_bytes_through_every_rendered_move_kind(tmp_path, capsys):
+    coll = tmp_path / "collection.cfg"
+    coll.write_text("[collection]\nmodel = P2\nblocks = O(-2H) | O(-H) | O\n")
+    script = tmp_path / "script.txt"
+    script.write_text(MUTATE_SCRIPT)
+    code = cli.main(["mutate", "--collection", str(coll), "--script", str(script)])
+    out = capsys.readouterr().out.encode("utf-8")
+    assert code == 0
+    assert len(out) == MUTATE_BYTES
+    assert hashlib.sha256(out).hexdigest() == MUTATE_SHA256
 
 
 # -- group ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from sodatlas.ktheory import (
     torsion_class,
     twist,
 )
+from sodatlas.catalog import MoriFibreSpace, standard_sod
 from sodatlas.lattice import SurfaceModel
 from sodatlas.mutation import (
     MAX_SERRE_POWER,
@@ -36,6 +37,7 @@ from sodatlas.mutation import (
     serre_power_match,
     subcategory_serre_matrix,
 )
+from sodatlas.textio import render_kclass
 
 P2 = SurfaceModel("P2")
 H = P2.basis_class("H")
@@ -218,6 +220,17 @@ def test_helix_roundtrip_strict():
         coll,
         "Strict",
     )
+
+
+def test_helix_turn_equals_the_standard_collection_and_keeps_its_names():
+    coll = standard_sod(MoriFibreSpace(P2, "Point"))
+    turned = apply_move(apply_move(coll, Move("helix-")), Move("helix+"))
+    assert turned == coll
+    assert [o.label for o in coll.objects()] == ["O(-2H)", "O(-H)", "O"]
+    # the first block went round the helix; the others never moved
+    (moved,) = turned.blocks[0].objects
+    assert moved.label == render_kclass(moved.cls)
+    assert [o.label for o in turned.objects()[1:]] == ["O(-H)", "O"]
 
 
 def test_swap_requires_orthogonality():
@@ -410,7 +423,7 @@ def _depth3_layer(start):
     for _ in range(3):
         nxt = []
         for coll in layer:
-            for move in mutation._candidate_moves(coll, mutation.DEFAULT_SEARCH_KINDS):
+            for move in mutation._candidate_moves(coll):
                 try:
                     out = apply_move(coll, move)
                 except (MoveError, VerificationError):
