@@ -144,8 +144,8 @@ def _parse_atom_value(text: str) -> SmallAtom:
     if (
         not isinstance(value, tuple)
         or len(value) != 3
-        or not isinstance(value[0], int)
-        or not isinstance(value[1], int)
+        or type(value[0]) is not int
+        or type(value[1]) is not int
         or not isinstance(value[2], str)
     ):
         raise InputError(f"an atom is a (field_degree, index, \"label\") triple, got {text!r}")
@@ -161,7 +161,7 @@ def _parse_opaque_value(text: str) -> Atom:
         not isinstance(value, tuple)
         or len(value) != 2
         or not isinstance(value[0], str)
-        or not isinstance(value[1], int)
+        or type(value[1]) is not int
     ):
         raise InputError(f"an opaque marker is a (\"shape\", degree) pair, got {text!r}")
     return opaque_atom(value[0], value[1])

@@ -4,7 +4,8 @@ Every case ships as a data stanza: the roof surface, a dictionary of
 divisor classes on it, the two side collections, a move script, and
 optional post checks.  verify_link replays the moves step by step and
 returns a certificate recording each intermediate collection, its Gram
-matrix, and the verdict.
+matrix, and the verdict.  The Serre post checks (`serre-inv`,
+`serre-match`) compare the class vectors of mutation.serre_images.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .. import intlinalg
 from ..errors import InputError, VerificationError
 from ..ktheory import KClass, line_bundle_class, structure_class, torsion_class
 from ..lattice import DivisorClass, SurfaceModel
@@ -30,8 +30,8 @@ from ..mutation import (
     certificate,
     collections_equal,
     parse_script,
+    serre_images,
     serre_power_match,
-    subcategory_serre_matrix,
 )
 from ..textio import (
     _names_of,
@@ -271,30 +271,16 @@ def link_script(case: str) -> LinkScript:
 
 # -- verification -------------------------------------------------------------
 
-def _span_classes(collection: Collection, rng: tuple[int, int]) -> list[KClass]:
-    a, b = rng
-    return [o.cls for blk in collection.blocks[a - 1 : b] for o in blk.objects]
-
-
-def _matrix_on_span(script: LinkScript, classes) -> list[list[int]] | None:
-    """Matrix (columns are images) of the stored involution on the span of
-    `classes`, in their own coordinates; None if it does not preserve it."""
-    basis_t = intlinalg.transpose([list(c.vector) for c in classes])
-    images = [list(sigma_kclass(c, script.involution).vector) for c in classes]
-    cols = intlinalg.solve_many(basis_t, images)
-    if any(col is None for col in cols):
-        return None
-    return intlinalg.transpose(cols)
-
-
 def _run_post(script: LinkScript, post: PostCheck, states) -> bool:
     """`states` holds the collections the replay passed through, side1 first."""
     if post.kind == "serre-inv":
-        serre = subcategory_serre_matrix(script.side1, post.rng)
-        sigma = _matrix_on_span(script, _span_classes(script.side1, post.rng))
-        if sigma is None:
-            return False
-        return intlinalg.mat_pow(serre, post.power) == intlinalg.mat_neg(sigma)
+        a, b = post.rng
+        minus_sigma = [
+            [-x for x in sigma_kclass(o.cls, script.involution).vector]
+            for blk in script.side1.blocks[a - 1 : b]
+            for o in blk.objects
+        ]
+        return serre_images(script.side1, post.rng, post.power) == minus_sigma
     if post.kind == "sigma-dual":
         a, b = post.names
         image = apply_divisor_matrix(script.roof, script.involution, script.dictionary[a])

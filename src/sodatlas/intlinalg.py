@@ -49,10 +49,6 @@ def mat_vec(a, v) -> Vector:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def mat_neg(a) -> Matrix:
-    return [[-x for x in row] for row in a]
-
-
 def mat_pow(a, k: int) -> Matrix:
     """a**k for k >= 0 (k < 0 goes through mat_inverse_integer first)."""
     if k < 0:

@@ -8,8 +8,14 @@ per step.
 
 An object keeps a name only where a standard decomposition gives one (`O`,
 `O(D)`, `E`); names take no part in equality, and any other label is the
-class rendered on demand.  serre_power_match tries the exponents 0, 1, -1,
-2, -2, ... in that order, so +N comes before -N.
+class rendered on demand.
+
+serre_images is the one Serre step: it returns the class vectors that a
+power of the subcategory Serre matrix sends a block range's classes to.
+The `serre` move, the catalog's `serre-inv` post and serre_power_match all
+compare these class vectors, never coordinates in a span basis.
+serre_power_match tries the exponents 0, 1, -1, 2, -2, ... in that order,
+so +N comes before -N.
 """
 
 from __future__ import annotations
@@ -303,6 +309,22 @@ def subcategory_serre_matrix(collection: Collection, rng: tuple[int, int] | None
     return intlinalg.mat_mul(inv, intlinalg.transpose(gram))
 
 
+def _span_vectors(collection: Collection, rng: tuple[int, int]) -> list[list[int]]:
+    """Class vectors of blocks rng[0]..rng[1] (1-based, inclusive), in order."""
+    blocks = collection.blocks[rng[0] - 1 : rng[1]]
+    return [list(o.cls.vector) for blk in blocks for o in blk.objects]
+
+
+def serre_images(collection: Collection, rng: tuple[int, int], power: int) -> list[list[int]]:
+    """Class vectors that S^power sends the classes of blocks rng[0]..rng[1]
+    to, in order, where S is the subcategory Serre matrix of that range.
+    Column j of a matrix P is the image of the j-th class, so these are the
+    rows of P^T V (V: the classes' vectors, row by row)."""
+    serre = subcategory_serre_matrix(collection, rng)
+    power_t = intlinalg.transpose(intlinalg.mat_pow(serre, power))
+    return intlinalg.mat_mul(power_t, _span_vectors(collection, rng))
+
+
 def _twisted(block: Block, d) -> Block:
     return Block(tuple(ExcObject(twist(o.cls, d)) for o in block.objects), opaque=block.opaque)
 
@@ -366,11 +388,7 @@ def apply_move(collection: Collection, move: Move) -> Collection:
             raise MoveError(f"block range {a}..{b} out of bounds")
         if a != 1 and b != n:
             raise MoveError("serre power needs an initial or terminal block range")
-        power = intlinalg.mat_pow(subcategory_serre_matrix(collection, (a, b)), move.power)
-        # Column j of the power P is the image of the j-th class, so the rows
-        # of P^T V are the new class vectors (V: the old ones, row by row).
-        old = [list(o.cls.vector) for blk in blocks[a - 1 : b] for o in blk.objects]
-        new_vectors = intlinalg.mat_mul(intlinalg.transpose(power), old)
+        new_vectors = serre_images(collection, (a, b), move.power)
         bits = max(abs(x) for v in new_vectors for x in v).bit_length()
         if bits > MAX_CLASS_BITS:
             raise InputError(
@@ -412,25 +430,14 @@ def _sign_normal(col: list[int]) -> tuple[int, ...]:
     return tuple(col)
 
 
-def collections_equal(a: Collection, b: Collection, mode: str = "Strict") -> bool:
-    """Strict: identical block structure and classes in order (exact signs).
-    UpToSignAndBlockPerm: blocks stay in order, but inside each non-opaque
-    block the classes are compared as multisets up to a sign per class;
-    opaque blocks compare by their integer span."""
-    if a.surface != b.surface or len(a.blocks) != len(b.blocks):
-        return False
-    for ba, bb in zip(a.blocks, b.blocks):
-        if ba.opaque != bb.opaque or ba.size != bb.size:
-            return False
-        if mode == "Strict":
-            if ba.classes() != bb.classes():
-                return False
-        elif mode == "UpToSignAndBlockPerm":
-            if _block_key(ba) != _block_key(bb):
-                return False
-        else:
-            raise InputError(f"unknown comparison mode {mode!r}")
-    return True
+def collections_equal(a: Collection, b: Collection, mode: str = "UpToSignAndBlockPerm") -> bool:
+    """UpToSignAndBlockPerm, the only mode: blocks stay in order, but inside
+    each non-opaque block the classes are compared as multisets up to a sign
+    per class; opaque blocks compare by their integer span.  For equality
+    with exact signs and order, use ==."""
+    if mode != "UpToSignAndBlockPerm":
+        raise InputError(f"unknown comparison mode {mode!r}")
+    return a.surface == b.surface and canonical_form(a) == canonical_form(b)
 
 
 def canonical_form(collection: Collection):
@@ -578,38 +585,28 @@ def serre_power_match(
     """Smallest |N| with S^N carrying the listed blocks of `a` onto those of
     `b` (per block, up to order and a sign per object), where S is the
     subcategory Serre matrix of the `a` range, trying N before -N; None if
-    the block shapes or spans differ or no power fits."""
-    blocks_a = a.blocks[rng_a[0] - 1 : rng_a[1]]
-    blocks_b = b.blocks[rng_b[0] - 1 : rng_b[1]]
-    sizes = [blk.size for blk in blocks_a]
-    if sizes != [blk.size for blk in blocks_b]:
+    the block shapes differ or no power fits."""
+    sizes = [blk.size for blk in a.blocks[rng_a[0] - 1 : rng_a[1]]]
+    if sizes != [blk.size for blk in b.blocks[rng_b[0] - 1 : rng_b[1]]]:
         return None
-    cls_a = [o.cls for blk in blocks_a for o in blk.objects]
-    cls_b = [o.cls for blk in blocks_b for o in blk.objects]
-    if intlinalg.hermite_row_form([list(c.vector) for c in cls_a]) != intlinalg.hermite_row_form(
-        [list(c.vector) for c in cls_b]
-    ):
-        return None
-    basis_t = intlinalg.transpose([list(c.vector) for c in cls_a])
-    cols = intlinalg.solve_many(basis_t, [list(c.vector) for c in cls_b])
-    if any(col is None for col in cols):
-        return None
-    target = [_sign_normal(col) for col in cols]
-    serre = subcategory_serre_matrix(a, rng_a)
-    inverse = intlinalg.mat_inverse_integer(serre)
     starts = [sum(sizes[:i]) for i in range(len(sizes))]
-    forward = backward = intlinalg.identity(len(cls_a))
+
+    def per_block(vectors):
+        normal = [_sign_normal(v) for v in vectors]
+        return [sorted(normal[at : at + size]) for at, size in zip(starts, sizes)]
+
+    target = per_block(_span_vectors(b, rng_b))
+    serre = subcategory_serre_matrix(a, rng_a)
+    step = intlinalg.transpose(serre)
+    step_back = intlinalg.transpose(intlinalg.mat_inverse_integer(serre))
+    forward = backward = _span_vectors(a, rng_a)
     for n_abs in range(max_power + 1):
         tries = [(0, forward)]
         if n_abs:
-            forward = intlinalg.mat_mul(forward, serre)
-            backward = intlinalg.mat_mul(backward, inverse)
+            forward = intlinalg.mat_mul(step, forward)
+            backward = intlinalg.mat_mul(step_back, backward)
             tries = [(n_abs, forward), (-n_abs, backward)]
-        for n, power in tries:
-            images = [_sign_normal(col) for col in zip(*power)]
-            if all(
-                sorted(images[at : at + size]) == sorted(target[at : at + size])
-                for at, size in zip(starts, sizes)
-            ):
+        for n, images in tries:
+            if per_block(images) == target:
                 return n
     return None

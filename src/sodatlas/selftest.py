@@ -57,7 +57,6 @@ from .mutation import (
     Move,
     apply_move,
     collection_of_classes,
-    collections_equal,
     search_path,
     subcategory_serre_matrix,
 )
@@ -263,18 +262,13 @@ def criterion_5() -> str:
             not any(b.opaque for b in coll.blocks),
             f"{coll.surface.describe()}: collection is not opaque-free",
         )
-        classes = list(coll.classes())
-        serre = subcategory_serre_matrix(coll, None)
-        basis_t = intlinalg.transpose([list(c.vector) for c in classes])
-        cols = []
-        for c in classes:
-            col = intlinalg.solve(
-                basis_t, list(twist(c, coll.surface.canonical).vector)
-            )
-            _ensure(col is not None, f"{coll.surface.describe()}: twist left the span")
-            cols.append(col)
+        # Column j of S is the image of the j-th class, so the rows of S^T V
+        # are the images' class vectors (V: the classes' vectors, row by row).
+        serre_t = intlinalg.transpose(subcategory_serre_matrix(coll, None))
+        vectors = [list(c.vector) for c in coll.classes()]
+        twisted = [list(twist(c, coll.surface.canonical).vector) for c in coll.classes()]
         _ensure(
-            serre == intlinalg.transpose(cols),
+            intlinalg.mat_mul(serre_t, vectors) == twisted,
             f"{coll.surface.describe()}: Serre matrix differs from the K-twist",
         )
     return f"{len(collections)} collections checked"
@@ -324,14 +318,14 @@ def criterion_7() -> str:
         except Exception:
             continue
         _ensure(
-            collections_equal(back, coll, "Strict"),
+            back == coll,
             f"L {i} then R {i - 1} did not restore a {coll.surface.describe()} collection",
         )
         done += 1
     for coll in pool:
         turned = apply_move(apply_move(coll, Move("helix-")), Move("helix+"))
         _ensure(
-            collections_equal(turned, coll, "Strict"),
+            turned == coll,
             f"helix turn is not the identity on {coll.surface.describe()}",
         )
     return f"200 L/R round trips, {len(pool)} helix round trips"

@@ -155,7 +155,7 @@ def parse_int_list(text: str) -> list[int]:
         value = ast.literal_eval(text)
     except (ValueError, SyntaxError) as exc:
         raise InputError(f"cannot parse integer list {text!r}") from exc
-    if not isinstance(value, (list, tuple)) or not all(isinstance(x, int) for x in value):
+    if not isinstance(value, (list, tuple)) or not all(type(x) is int for x in value):
         raise InputError(f"expected a list of integers, got {text!r}")
     return list(value)
 
@@ -170,7 +170,7 @@ def parse_matrix(text: str) -> list[list[int]]:
         or not value
         or not all(isinstance(row, (list, tuple)) for row in value)
         or len({len(row) for row in value}) != 1
-        or not all(isinstance(x, int) for row in value for x in row)
+        or not all(type(x) is int for row in value for x in row)
     ):
         raise InputError(f"expected a rectangular integer matrix, got {text!r}")
     return [list(row) for row in value]

@@ -308,6 +308,46 @@ def test_malformed_integer_exits_two(tmp_path, capsys, command, flag, section, l
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        (
+            "group",
+            "[group]\nmodel = P2[2]\n"
+            "gen = [[True,False,False],[False,False,True],[False,True,False]]\n",
+            "expected a rectangular integer matrix",
+        ),
+        ("profile", '[profile]\natom = (True, True, "0")\nam = 1\nind = 1\n', "an atom is a"),
+        ("profile", '[profile]\nopaque = ("K-nef", True)\n', "an opaque marker is a"),
+        (
+            "contraction",
+            "[contraction]\norbits = [True]\nterminal = Point\nmodel = P2\n",
+            "expected a list of integers",
+        ),
+        ("surface", "[surface]\nbase = P2\nblowups = [True]\n", "expected a list of integers"),
+    ],
+    ids=["group-gen", "profile-atom", "profile-opaque", "contraction-orbits", "surface-blowups"],
+)
+def test_booleans_are_not_integers_in_file_literals(tmp_path, capsys, kind, text, message):
+    f = tmp_path / "input.cfg"
+    f.write_text(text)
+    if kind == "group":
+        argv = ["group", "--action", str(f)]
+    elif kind == "profile":
+        argv = ["profile", "--file", str(f)]
+    elif kind == "surface":
+        argv = ["sod", "--surface", str(f)]
+    else:
+        surface, action, _ = _atom_files(tmp_path)
+        argv = ["atoms", "--surface", str(surface), "--action", str(action)]
+        argv += ["--contraction", str(f)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("power", ["100000", "10000000", "-65"])
 def test_serre_exponent_above_the_cap_exits_two(tmp_path, capsys, power):
     coll = tmp_path / "collection.cfg"

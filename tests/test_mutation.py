@@ -205,21 +205,13 @@ def test_left_then_right_restores():
     coll = three_block_deg6()
     after = apply_move(coll, Move("L", index=2))
     back = apply_move(after, Move("R", index=1))
-    assert collections_equal(coll, back, "Strict")
+    assert coll == back
 
 
 def test_helix_roundtrip_strict():
     coll = three_block_deg6()
-    assert collections_equal(
-        apply_move(apply_move(coll, Move("helix-")), Move("helix+")),
-        coll,
-        "Strict",
-    )
-    assert collections_equal(
-        apply_move(apply_move(coll, Move("helix+")), Move("helix-")),
-        coll,
-        "Strict",
-    )
+    assert apply_move(apply_move(coll, Move("helix-")), Move("helix+")) == coll
+    assert apply_move(apply_move(coll, Move("helix+")), Move("helix-")) == coll
 
 
 def test_helix_turn_equals_the_standard_collection_and_keeps_its_names():
@@ -257,7 +249,7 @@ def test_swap_merge_split():
     assert len(merged.blocks) == 3
     assert merged.blocks[1].size == 2
     split = apply_move(merged, Move("split", index=2, sizes=(1, 1)))
-    assert collections_equal(split, swapped, "Strict")
+    assert split == swapped
     with pytest.raises(MoveError):
         apply_move(merged, Move("split", index=2, sizes=(3,)))
     with pytest.raises(MoveError):
@@ -304,7 +296,7 @@ def test_serre_move_full_range_is_canonical_twist():
 
 def test_run_script_records_steps():
     final, steps = run_script(beilinson(), parse_script("helix -K; helix +K"), case="demo")
-    assert collections_equal(final, beilinson(), "Strict")
+    assert final == beilinson()
     assert [s["move"] for s in steps] == ["helix -K", "helix +K"]
     assert all(s["ok"] for s in steps)
     assert steps[0]["gram"] == [[1, 3, 6], [0, 1, 3], [0, 0, 1]]
@@ -326,11 +318,12 @@ def test_collections_equal_modes():
             coll.blocks[2],
         ),
     )
-    assert not collections_equal(coll, flipped_first, "Strict")
+    assert coll != flipped_first
     assert collections_equal(coll, flipped_first, "UpToSignAndBlockPerm")
     assert canonical_form(coll) == canonical_form(flipped_first)
-    with pytest.raises(InputError):
-        collections_equal(coll, coll, "Sloppy")
+    for mode in ("Strict", "Sloppy"):
+        with pytest.raises(InputError):
+            collections_equal(coll, coll, mode)
 
 
 def test_random_left_right_restore_and_helix():
@@ -382,12 +375,8 @@ def test_random_left_right_restore_and_helix():
         i = rng.randrange(2, n + 1)
         stepped = apply_move(coll, Move("L", index=i))
         back = apply_move(stepped, Move("R", index=i - 1))
-        assert collections_equal(coll, back, "Strict")
-        assert collections_equal(
-            apply_move(apply_move(coll, Move("helix-")), Move("helix+")),
-            coll,
-            "Strict",
-        )
+        assert coll == back
+        assert apply_move(apply_move(coll, Move("helix-")), Move("helix+")) == coll
 
 
 def test_search_path_twist_within_depth():

@@ -1,0 +1,169 @@
+"""The Serre checks on class vectors against the coordinate routes they replaced.
+
+`serre-inv` posts and serre_power_match compare class vectors. The oracles
+below solve every class in the span basis with a Smith reduction and compare
+coordinate matrices instead: `_serre_inv_on_coordinates` is the post check
+mat_pow(S, k) == -Sigma, and `_power_match_on_coordinates` is the Hermite
+span check, solve_many and the walk on coordinate matrices. On a range whose
+classes form a basis of their span both routes must give the same verdict
+and the same exponent.
+"""
+
+import random
+from dataclasses import replace
+from functools import lru_cache
+
+import pytest
+
+from sodatlas import intlinalg
+from sodatlas.catalog.core import sigma_kclass
+from sodatlas.catalog.scripts import _run_post, catalog_ids, link_script
+from sodatlas.mutation import (
+    Block,
+    Collection,
+    ExcObject,
+    Move,
+    _replay,
+    apply_move,
+    serre_power_match,
+    subcategory_serre_matrix,
+)
+
+_SEED = 20261018
+
+
+def _range_classes(collection, rng):
+    a, b = rng
+    return [o.cls for blk in collection.blocks[a - 1 : b] for o in blk.objects]
+
+
+def _coordinates(basis, classes):
+    """Columns: each class solved in `basis`; None if one leaves its span."""
+    basis_t = intlinalg.transpose([list(c.vector) for c in basis])
+    cols = intlinalg.solve_many(basis_t, [list(c.vector) for c in classes])
+    return None if any(col is None for col in cols) else cols
+
+
+@lru_cache(maxsize=None)
+def _serre_and_inverse(collection, rng):
+    serre = subcategory_serre_matrix(collection, rng)
+    return serre, intlinalg.mat_inverse_integer(serre)
+
+
+def _serre_inv_on_coordinates(script, rng, power):
+    classes = _range_classes(script.side1, rng)
+    cols = _coordinates(classes, [sigma_kclass(c, script.involution) for c in classes])
+    if cols is None:
+        return False
+    sigma = intlinalg.transpose(cols)
+    serre, inverse = _serre_and_inverse(script.side1, rng)
+    power_matrix = intlinalg.mat_pow(serre if power >= 0 else inverse, abs(power))
+    return power_matrix == [[-x for x in row] for row in sigma]
+
+
+def _sign_normal(col):
+    for x in col:
+        if x:
+            return tuple(col) if x > 0 else tuple(-y for y in col)
+    return tuple(col)
+
+
+def _power_match_on_coordinates(a, rng_a, b, rng_b, max_power=12):
+    blocks_a = a.blocks[rng_a[0] - 1 : rng_a[1]]
+    sizes = [blk.size for blk in blocks_a]
+    if sizes != [blk.size for blk in b.blocks[rng_b[0] - 1 : rng_b[1]]]:
+        return None
+    cls_a, cls_b = _range_classes(a, rng_a), _range_classes(b, rng_b)
+    spans = [intlinalg.hermite_row_form([list(c.vector) for c in cls]) for cls in (cls_a, cls_b)]
+    if spans[0] != spans[1]:
+        return None
+    cols = _coordinates(cls_a, cls_b)
+    if cols is None:
+        return None
+    target = [_sign_normal(col) for col in cols]
+    serre, inverse = _serre_and_inverse(a, rng_a)
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    forward = backward = intlinalg.identity(len(cls_a))
+    for n_abs in range(max_power + 1):
+        tries = [(0, forward)]
+        if n_abs:
+            forward = intlinalg.mat_mul(forward, serre)
+            backward = intlinalg.mat_mul(backward, inverse)
+            tries = [(n_abs, forward), (-n_abs, backward)]
+        for n, power in tries:
+            images = [_sign_normal(col) for col in zip(*power)]
+            if all(
+                sorted(images[at : at + size]) == sorted(target[at : at + size])
+                for at, size in zip(starts, sizes)
+            ):
+                return n
+    return None
+
+
+def _posts(kind):
+    return [
+        (cid, post) for cid in catalog_ids() for post in link_script(cid).posts if post.kind == kind
+    ]
+
+
+_SERRE_INV = _posts("serre-inv")
+
+
+@pytest.mark.parametrize("cid, post", _SERRE_INV, ids=[cid for cid, _ in _SERRE_INV])
+def test_serre_inv_post_matches_the_coordinate_check(cid, post):
+    script = link_script(cid)
+    verdicts = {}
+    for k in range(-4, 5):
+        library = _run_post(script, replace(post, power=k), [script.side1])
+        assert library == _serre_inv_on_coordinates(script, post.rng, k), (cid, k)
+        verdicts[k] = library
+    assert verdicts[post.power] and not verdicts[0]
+
+
+def _shuffled(collection, rng):
+    """`collection` with the classes of each block shuffled and sign-flipped."""
+    blocks = []
+    for blk in collection.blocks:
+        objects = [ExcObject(rng.choice((1, -1)) * o.cls) for o in blk.objects]
+        rng.shuffle(objects)
+        blocks.append(Block(tuple(objects), opaque=blk.opaque))
+    return Collection(collection.surface, tuple(blocks), full=collection.full)
+
+
+def _off_span(collection, rng, outside):
+    """`collection` with the first class of block rng[0] replaced by `outside`."""
+    blocks = list(collection.blocks)
+    first = blocks[rng[0] - 1]
+    objects = (ExcObject(outside),) + first.objects[1:]
+    blocks[rng[0] - 1] = Block(objects, opaque=first.opaque)
+    return Collection(collection.surface, tuple(blocks), full=collection.full)
+
+
+def test_serre_power_match_agrees_with_the_coordinate_walk():
+    rng = random.Random(_SEED)
+    powers, misses = [], 0
+    for cid, post in _posts("serre-match"):
+        script = link_script(cid)
+        states, _ = _replay(script.side1, script.moves, cid)
+        start = states[post.prefix]
+        args = (start, post.rng, script.side2, post.far, post.power)
+        assert serre_power_match(*args) == _power_match_on_coordinates(*args) is not None
+        # an initial range on side1 and a terminal one on the prefix state
+        terminal = (post.rng[0], len(start.blocks))
+        for source, span in ((script.side1, (1, post.rng[1])), (start, terminal)):
+            for k in range(-3, 4):
+                far = _shuffled(apply_move(source, Move("serre", rng=span, power=k)), rng)
+                found = serre_power_match(source, span, far, span)
+                assert found == _power_match_on_coordinates(source, span, far, span), (cid, k)
+                assert found is not None and abs(found) <= abs(k)
+                powers.append(found)
+            outside = next(
+                o.cls for i, blk in enumerate(source.blocks, 1)
+                if not span[0] <= i <= span[1] for o in blk.objects
+            )
+            far = _off_span(far, span, outside)
+            assert serre_power_match(source, span, far, span) is None
+            assert _power_match_on_coordinates(source, span, far, span) is None
+            misses += 1
+    assert misses == 12
+    assert {p for p in powers if p < 0} and {p for p in powers if p > 0}
