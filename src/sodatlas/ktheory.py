@@ -16,10 +16,11 @@ chi(O(B-A)) and the duality chi(a, b) = chi(b, a*K).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from operator import mul
 from typing import Literal
 
+from . import intlinalg
 from .errors import InputError
 from .lattice import DivisorClass, SurfaceModel
 
@@ -115,6 +116,15 @@ def euler_row(a: KClass) -> tuple[int, ...]:
         c1_part = (d * c[0] - c[1], -c[0]) + c[2:]
     head = a.chi - a.rank + surface.intersect(a.c1, surface.canonical)
     return (head,) + c1_part + (a.rank,)
+
+
+@cache
+def euler_form_det(surface: SurfaceModel) -> int:
+    """det X, X the Euler form on (rank, c1..., chi): the Gram matrix of the
+    unit vectors, whose rows are their euler_rows.  Computed once per surface."""
+    n = surface.picard_rank + 2
+    units = (class_from_vector(surface, [int(i == j) for j in range(n)]) for i in range(n))
+    return intlinalg.det([list(euler_row(u)) for u in units])
 
 
 def euler_pairing(a: KClass, b: KClass) -> int:

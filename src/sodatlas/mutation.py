@@ -16,6 +16,12 @@ The `serre` move, the catalog's `serre-inv` post and serre_power_match all
 compare these class vectors, never coordinates in a span basis.
 serre_power_match tries the exponents 0, 1, -1, 2, -2, ... in that order,
 so +N comes before -N.
+
+apply_move is a move and its check; run_script checks every collection it
+produces.  search_path rewrites candidates unchecked and keys them with
+canonical_form first, since legality depends only on that key.  It checks
+each new key it expands or returns, and nothing else: no duplicate, and in
+the last layer nothing but the goal.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from operator import mul
 
 from . import intlinalg
 from .errors import InputError, MoveError, UnsupportedRangeError, VerificationError
-from .ktheory import KClass, class_from_vector, euler_row, mutate_class, twist
+from .ktheory import KClass, class_from_vector, euler_form_det, euler_row, twist
 from .lattice import SurfaceModel
 from .textio import _parse_int, render_kclass
 
@@ -170,9 +176,26 @@ def check_collection(collection: Collection) -> CheckReport:
         expected = collection.surface.picard_rank + 2
         if n != expected:
             violations.append(f"full collection has {n} objects, lattice needs {expected}")
-        elif intlinalg.det([list(c.vector) for c in collection.classes()]) not in (1, -1):
+        elif not _lattice_basis(collection, gram, not violations):
             violations.append("classes do not form a basis of the K-lattice")
     return CheckReport(ok=not violations, gram=gram, violations=tuple(violations))
+
+
+def _lattice_basis(collection: Collection, gram, semi_orthogonal: bool) -> bool:
+    """Whether the classes, as many as the K-group rank, are a basis of it:
+    det V = +-1 for V their vectors.  G = V X V^T, so det G = (det V)^2 det X.
+    A semi-orthogonal G is block unipotent outside opaque blocks, so det G is
+    the product of the opaque diagonal blocks' determinants; otherwise this
+    takes det V itself."""
+    if not semi_orthogonal:
+        return intlinalg.det([list(c.vector) for c in collection.classes()]) in (1, -1)
+    det_gram, at = 1, 0
+    for b in collection.blocks:
+        if b.opaque:
+            rows = gram[at : at + b.size]
+            det_gram *= intlinalg.det([list(row[at : at + b.size]) for row in rows])
+        at += b.size
+    return det_gram == euler_form_det(collection.surface)
 
 
 # -- moves ----------------------------------------------------------------
@@ -263,17 +286,39 @@ def render_script(moves) -> str:
     return "; ".join(render_move(m) for m in moves)
 
 
-def _mutate_block(moving: Block, through: Block, side: str) -> Block:
-    if through.opaque:
+def _mutate_block(collection: Collection, index: int, through: int, side: str) -> Block:
+    """Block `index` mutated through block `through` (both 1-based) to the
+    given side, one object e_1, e_2, ... of `through` at a time.
+
+    Each coefficient is read off the parent's Gram matrix: a class F loses
+    g_k e_k with g_k = chi(e_k, F) - sum_{l<k} g_l chi(e_k, e_l) on the
+    left and g_k = chi(F, e_k) - sum_{l<k} g_l chi(e_l, e_k) on the right.
+    That is mutate_class applied once per e_k, whatever `through` is; when
+    `through` is orthogonal, as the post-move check requires, it is the
+    one-shot projection."""
+    moving, mid = collection.blocks[index - 1], collection.blocks[through - 1]
+    if mid.opaque:
         raise MoveError("cannot mutate through an opaque block")
-    # One object at a time equals the one-shot projection because a non-opaque
-    # block is pairwise orthogonal; the post-move check rejects one that is not.
+    flat = collection._pairings
+    n = isqrt(len(flat))
+    if side == "Left":
+        def chi(e, f):
+            return flat[e * n + f]
+    else:
+        def chi(e, f):
+            return flat[f * n + e]
+    es = _flat_span(collection, through, through)
+    e_vectors = [o.cls.vector for o in mid.objects]
     new = []
-    for obj in moving.objects:
-        cls = obj.cls
-        for e in through.objects:
-            cls = mutate_class(e.cls, cls, side)
-        new.append(ExcObject(cls))
+    for f, obj in zip(_flat_span(collection, index, index), moving.objects):
+        coeffs: list[int] = []
+        for e in es:
+            coeffs.append(chi(e, f) - sum(g * chi(e, l) for g, l in zip(coeffs, es)))
+        vec = obj.cls.vector
+        for g, e_vec in zip(coeffs, e_vectors):
+            if g:
+                vec = [x - g * y for x, y in zip(vec, e_vec)]
+        new.append(ExcObject(class_from_vector(collection.surface, vec)))
     return Block(tuple(new), opaque=moving.opaque)
 
 
@@ -330,9 +375,23 @@ def _twisted(block: Block, d) -> Block:
 
 
 def apply_move(collection: Collection, move: Move) -> Collection:
-    """One move; raises MoveError on a violated precondition and
+    """One checked move: raises MoveError on a violated precondition and
     VerificationError if the rewritten collection fails check_collection.
-    This is the only place a produced collection is checked."""
+    This is the move step of run_script; search_path rewrites with
+    _rewrite and checks only the new collections it keeps."""
+    out = _rewrite(collection, move)
+    report = check_collection(out)
+    if not report.ok:
+        raise VerificationError(
+            f"collection broke after move {render_move(move)}: " + "; ".join(report.violations)
+        )
+    return out
+
+
+def _rewrite(collection: Collection, move: Move) -> Collection:
+    """The collection one move produces, unchecked; raises MoveError on a
+    violated precondition (InputError for an unknown kind or an oversized
+    serre power, as apply_move does)."""
     blocks = list(collection.blocks)
     n = len(blocks)
     k = move.kind
@@ -342,13 +401,13 @@ def apply_move(collection: Collection, move: Move) -> Collection:
         if move.index < 2:
             raise MoveError("left mutation needs a block on the left")
         i = move.index - 1
-        moved = _mutate_block(blocks[i], blocks[i - 1], "Left")
+        moved = _mutate_block(collection, move.index, move.index - 1, "Left")
         blocks[i - 1], blocks[i] = moved, blocks[i - 1]
     elif k == "R":
         if move.index >= n:
             raise MoveError("right mutation needs a block on the right")
         i = move.index - 1
-        moved = _mutate_block(blocks[i], blocks[i + 1], "Right")
+        moved = _mutate_block(collection, move.index, move.index + 1, "Right")
         blocks[i], blocks[i + 1] = blocks[i + 1], moved
     elif k == "helix-":
         blocks.append(_twisted(blocks.pop(0), -1 * collection.surface.canonical))
@@ -403,13 +462,7 @@ def apply_move(collection: Collection, move: Move) -> Collection:
             at += size
     else:
         raise InputError(f"unknown move kind {k!r}")
-    out = replace(collection, blocks=tuple(blocks))
-    report = check_collection(out)
-    if not report.ok:
-        raise VerificationError(
-            f"collection broke after move {render_move(move)}: " + "; ".join(report.violations)
-        )
-    return out
+    return replace(collection, blocks=tuple(blocks))
 
 
 # -- comparison -----------------------------------------------------------
@@ -420,7 +473,7 @@ def _block_key(block: Block) -> tuple:
     if block.opaque:
         span = intlinalg.hermite_row_form([list(o.cls.vector) for o in block.objects])
         return ("opaque", block.size, span)
-    return ("plain", tuple(sorted(o.cls.normalized_sign().vector for o in block.objects)))
+    return ("plain", tuple(sorted(_sign_normal(o.cls.vector) for o in block.objects)))
 
 
 def _sign_normal(col: list[int]) -> tuple[int, ...]:
@@ -540,38 +593,45 @@ def search_path(start: Collection, goal: Collection, max_depth: int):
     """Breadth-first search for a move word of at most `max_depth` moves
     taking `start` to `goal` up to UpToSignAndBlockPerm, or None.  Raises
     UnsupportedRangeError once it would expand more than MAX_SEARCH_NODES
-    collections."""
+    collections.
+
+    Each candidate is rewritten unchecked and keyed by canonical_form
+    first; legality depends only on that key, so a key already seen is
+    dropped unchecked.  A new key is checked before it is expanded or
+    returned.  In the last layer only the goal is checked: no other
+    collection there is expanded."""
     # Moves keep the surface, so a goal on another surface is never reached.
     goal_key = canonical_form(goal) if goal.surface == start.surface else None
     key = canonical_form(start)
     if key == goal_key:
         return ()
     seen = {key}
-    frontier = deque([(start, (), 0)])
+    frontier = deque([(start, ())] if max_depth > 0 else [])
     expanded = 0
     while frontier:
-        current, path, d = frontier.popleft()
-        if d >= max_depth:
-            continue
+        current, path = frontier.popleft()
         expanded += 1
         if expanded > MAX_SEARCH_NODES:
             raise UnsupportedRangeError(
                 f"search expanded more than {MAX_SEARCH_NODES} collections "
                 f"within depth {max_depth}"
             )
+        leaf = len(path) + 1 == max_depth
         for move in _candidate_moves(current):
             try:
-                nxt = apply_move(current, move)
-            except (MoveError, VerificationError):
+                nxt = _rewrite(current, move)
+            except MoveError:
                 continue
             key = canonical_form(nxt)
-            if key in seen:
+            if key in seen or (leaf and key != goal_key):
                 continue
             seen.add(key)
-            new_path = path + (move,)
+            if not check_collection(nxt).ok:
+                continue
             if key == goal_key:
-                return new_path
-            frontier.append((nxt, new_path, d + 1))
+                return path + (move,)
+            if not leaf:
+                frontier.append((nxt, path + (move,)))
     return None
 
 

@@ -405,6 +405,26 @@ def test_search_path_node_budget(monkeypatch):
         search_path(start, unreachable, max_depth=3)
 
 
+def test_search_checks_only_the_collections_it_keeps(monkeypatch):
+    from sodatlas.catalog.scripts import link_script
+
+    start = link_script("I-9-8").side1
+    unreachable = Collection(start.surface, start.blocks[:1])
+    checked = []
+    check = mutation.check_collection
+    monkeypatch.setattr(mutation, "check_collection", lambda c: checked.append(c) or check(c))
+    assert search_path(start, unreachable, max_depth=3) is None
+    # One check per new collection of depth 1 or 2, the ones the search
+    # expands; none in the last layer, which holds no goal here.
+    assert len(checked) == 46
+    assert len({canonical_form(c) for c in checked}) == 46
+    # A goal in the last layer is checked before its word is returned.
+    goal = _depth3_layer(start)[70]
+    checked.clear()
+    assert render_script(search_path(start, goal, max_depth=3)) == "L 4; R 2; L 2"
+    assert canonical_form(checked[-1]) == canonical_form(goal)
+
+
 def _depth3_layer(start):
     """Collections first reached after three moves, in the order
     breadth-first search meets them."""
