@@ -18,16 +18,17 @@ serre_power_match tries the exponents 0, 1, -1, 2, -2, ... in that order,
 so +N comes before -N.
 
 apply_move is a move and its check; run_script checks every collection it
-produces.  search_path rewrites candidates unchecked and keys them with
-canonical_form first, since legality depends only on that key.  It checks
-each new key it expands or returns, and nothing else: no duplicate, and in
-the last layer nothing but the goal.
+produces.  search_path searches from the start and from the goal at once.
+It rewrites candidates unchecked and keys them with canonical_form first,
+since legality depends only on that key.  It checks the goal first, then
+each new key it keeps on either side, and nothing else: no duplicate, no
+key the other side already holds, and nothing in the last layer the depth
+allows, whose keys only need to meet the other side.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import isqrt
@@ -47,9 +48,11 @@ MAX_SERRE_POWER = 64
 # an Euler pairing of two classes stays far below the 4,300 digits Python
 # will turn into text.
 MAX_CLASS_BITS = 4096
-# Most collections search_path expands.  Exhaustive searches expand at most
-# 65 from the 15 catalog cases of the move-search benchmark at depth 3, and
-# 2,109 from the plane's Beilinson collection at depth 8.
+# Most collections search_path expands, both sides counted.  A search for a
+# goal one move beyond its depth bound expands at most 11 from the 15
+# catalog cases of the move-search benchmark at depth 3, and 154 from the
+# plane's Beilinson collection at depth 8; the longest catalog link the
+# search finds, II-curve-5-3 at distance 10, takes 3,196.
 MAX_SEARCH_NODES = 10_000
 
 
@@ -80,6 +83,16 @@ class Block:
     def classes(self) -> tuple[KClass, ...]:
         return tuple(o.cls for o in self.objects)
 
+    @cached_property
+    def key(self) -> tuple:
+        """The block up to sign and order of its classes: an opaque block by
+        its size and integer span, any other by its sign-normalized classes.
+        Computed once; a move rebuilds only the blocks it changes."""
+        if self.opaque:
+            span = intlinalg.hermite_row_form([list(o.cls.vector) for o in self.objects])
+            return ("opaque", self.size, span)
+        return ("plain", tuple(sorted(_sign_normal(o.cls.vector) for o in self.objects)))
+
 
 @dataclass(frozen=True)
 class Collection:
@@ -93,7 +106,7 @@ class Collection:
             raise InputError("a collection needs at least one block")
         for b in self.blocks:
             for o in b.objects:
-                if o.cls.surface != self.surface:
+                if o.cls.surface is not self.surface and o.cls.surface != self.surface:
                     raise InputError("object lives on a different surface model")
 
     def objects(self) -> tuple[ExcObject, ...]:
@@ -467,15 +480,6 @@ def _rewrite(collection: Collection, move: Move) -> Collection:
 
 # -- comparison -----------------------------------------------------------
 
-def _block_key(block: Block) -> tuple:
-    """A block up to sign and order of its classes: an opaque block by its
-    size and integer span, any other by its sign-normalized classes."""
-    if block.opaque:
-        span = intlinalg.hermite_row_form([list(o.cls.vector) for o in block.objects])
-        return ("opaque", block.size, span)
-    return ("plain", tuple(sorted(_sign_normal(o.cls.vector) for o in block.objects)))
-
-
 def _sign_normal(col: list[int]) -> tuple[int, ...]:
     for x in col:
         if x:
@@ -496,7 +500,7 @@ def collections_equal(a: Collection, b: Collection, mode: str = "UpToSignAndBloc
 def canonical_form(collection: Collection):
     """Hashable key identifying a collection on its surface up to the
     UpToSignAndBlockPerm comparison."""
-    return tuple(_block_key(b) for b in collection.blocks)
+    return tuple(b.key for b in collection.blocks)
 
 
 # -- scripts and certificates ----------------------------------------------
@@ -589,50 +593,104 @@ def _candidate_moves(collection: Collection) -> list[Move]:
     return out
 
 
-def search_path(start: Collection, goal: Collection, max_depth: int):
-    """Breadth-first search for a move word of at most `max_depth` moves
-    taking `start` to `goal` up to UpToSignAndBlockPerm, or None.  Raises
-    UnsupportedRangeError once it would expand more than MAX_SEARCH_NODES
-    collections.
+def _children(collection: Collection):
+    """(move, collection) for each candidate move whose preconditions hold,
+    in candidate order; the collections are unchecked."""
+    for move in _candidate_moves(collection):
+        try:
+            child = _rewrite(collection, move)
+        except MoveError:
+            continue
+        yield move, child
 
-    Each candidate is rewritten unchecked and keyed by canonical_form
-    first; legality depends only on that key, so a key already seen is
-    dropped unchecked.  A new key is checked before it is expanded or
-    returned.  In the last layer only the goal is checked: no other
-    collection there is expanded."""
-    # Moves keep the surface, so a goal on another surface is never reached.
-    goal_key = canonical_form(goal) if goal.surface == start.surface else None
+
+def search_path(start: Collection, goal: Collection, max_depth: int):
+    """The least shortest move word, in candidate-move order, of at most
+    `max_depth` moves taking `start` to `goal` up to UpToSignAndBlockPerm,
+    or None.  Raises UnsupportedRangeError once it would expand more than
+    MAX_SEARCH_NODES collections, counted on both sides.
+
+    A two-sided breadth-first search on canonical_form keys: every search
+    move has an inverse search move, so it expands one whole layer at a
+    time, from the start or from the goal, whichever frontier is smaller.
+    The forward side keeps each key's parent key and move, the backward
+    side each key's distance to the goal.  Once a layer holds a key of the
+    other side, the first such node of the last forward layer, in discovery
+    order, lies on the least word: its parent chain is the prefix, and the
+    rest takes at each step the first move down one backward layer.
+
+    Candidates are rewritten unchecked; legality depends only on the key,
+    so a key already seen is dropped unchecked.  The goal is checked first,
+    with the start's `full` flag that every reached collection carries; if
+    it fails, no word reaches it.  After that a key is checked at most
+    once, when one side first keeps it; a key the other side holds needs
+    no check, and keys of the last layer the depth allows are only matched
+    against the other side.  The start, the caller's, is not checked."""
     key = canonical_form(start)
+    # Moves keep the surface, so a goal on another surface is never reached.
+    if goal.surface != start.surface:
+        return None
+    goal_key = canonical_form(goal)
     if key == goal_key:
         return ()
-    seen = {key}
-    frontier = deque([(start, ())] if max_depth > 0 else [])
-    expanded = 0
-    while frontier:
-        current, path = frontier.popleft()
-        expanded += 1
-        if expanded > MAX_SEARCH_NODES:
-            raise UnsupportedRangeError(
-                f"search expanded more than {MAX_SEARCH_NODES} collections "
-                f"within depth {max_depth}"
-            )
-        leaf = len(path) + 1 == max_depth
-        for move in _candidate_moves(current):
-            try:
-                nxt = _rewrite(current, move)
-            except MoveError:
-                continue
-            key = canonical_form(nxt)
-            if key in seen or (leaf and key != goal_key):
-                continue
-            seen.add(key)
-            if not check_collection(nxt).ok:
-                continue
-            if key == goal_key:
-                return path + (move,)
-            if not leaf:
-                frontier.append((nxt, path + (move,)))
-    return None
+    goal = replace(goal, full=start.full)
+    if max_depth < 1 or not check_collection(goal).ok:
+        return None
+    parent = {key: None}  # forward side: key -> (parent key, move)
+    dist = {goal_key: 0}  # backward side: key -> moves to the goal
+    dropped = set()  # keys that failed their check
+    ahead, behind = [(key, start)], [(goal_key, goal)]  # each side's last layer
+    depth = expanded = 0
+    met = False
+    while not met:
+        if not (ahead and behind) or depth == max_depth:
+            return None
+        depth += 1
+        forward = len(ahead) <= len(behind)
+        layer, known, other = (ahead, parent, dist) if forward else (behind, dist, parent)
+        new = []
+        for k, current in layer:
+            expanded += 1
+            if expanded > MAX_SEARCH_NODES:
+                raise UnsupportedRangeError(
+                    f"search expanded more than {MAX_SEARCH_NODES} collections "
+                    f"within depth {max_depth}"
+                )
+            for move, child in _children(current):
+                ck = canonical_form(child)
+                if ck in known or ck in dropped:
+                    continue
+                if ck in other:
+                    met = True
+                elif depth == max_depth:
+                    continue
+                elif not check_collection(child).ok:
+                    dropped.add(ck)
+                    continue
+                known[ck] = (k, move) if forward else dist[k] + 1
+                new.append((ck, child))
+                if met and forward:
+                    break
+            if met and forward:
+                break
+        if forward:
+            ahead = new
+        else:
+            behind = new
+    # The meeting node: the first one of the last forward layer that the
+    # backward side holds.  A forward layer stops at that node.
+    meet_key, current = next(node for node in ahead if node[0] in dist)
+    k, word = meet_key, []
+    while parent[k] is not None:
+        k, move = parent[k]
+        word.append(move)
+    word.reverse()
+    for togo in reversed(range(dist[meet_key])):
+        move, current = next(
+            (m, c) for m, c in _children(current) if dist.get(canonical_form(c)) == togo
+        )
+        word.append(move)
+    return tuple(word)
 
 
 def serre_power_match(

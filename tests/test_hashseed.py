@@ -1,8 +1,10 @@
 """Output does not depend on PYTHONHASHSEED.
 
-`verify-link --all` and three pinned search words run in fresh interpreters
+`verify-link --all` and the pinned search words run in fresh interpreters
 under two hash seeds; the bytes must be identical, and the certificate bytes
-must be the golden ones of tests/test_golden.py.
+must be the golden ones of tests/test_golden.py.  The words are the three
+depth-3 ones of test_mutation and the six-move rediscovery of II-8-5-6, where
+both sides of the search expand several layers before they meet.
 """
 
 import hashlib
@@ -21,7 +23,8 @@ TESTS = str(Path(__file__).resolve().parent)
 
 VERIFY_ALL = "import sys; from sodatlas import cli; sys.exit(cli.main(['verify-link', '--all']))"
 
-# Prints the word search_path returns for each pinned goal of test_mutation.
+# Prints the word search_path returns for each pinned goal of test_mutation,
+# then for side1 -> side2 of II-8-5-6 within its stored script's length.
 SEARCH = """
 from sodatlas.mutation import render_script, search_path
 from sodatlas.catalog.scripts import link_script
@@ -32,7 +35,10 @@ for case, (_, words) in sorted(SEARCH_WORDS.items()):
     layer = _depth3_layer(start)
     for rank in words:
         print(case, rank, render_script(search_path(start, layer[rank], max_depth=3)))
+script = link_script("II-8-5-6")
+print("II-8-5-6", render_script(search_path(script.side1, script.side2, len(script.moves))))
 """
+DEEP_WORD = "II-8-5-6 L 2; L 2; L 2; L 3; L 2; L 2\n"
 
 
 def _run(code, seed):
@@ -58,4 +64,4 @@ def test_search_words_are_the_same_under_two_hash_seeds():
         for case, (_, words) in sorted(SEARCH_WORDS.items())
         for rank, word in words.items()
     )
-    assert one.decode() == expected
+    assert one.decode() == expected + DEEP_WORD

@@ -396,33 +396,82 @@ def test_search_path_twist_within_depth():
 
 def test_search_path_node_budget(monkeypatch):
     start = beilinson()
-    unreachable = Collection(P2, start.blocks[:1])
-    # the exhaustive depth-3 search expands 27 collections
-    monkeypatch.setattr(mutation, "MAX_SEARCH_NODES", 27)
-    assert search_path(start, unreachable, max_depth=3) is None
-    monkeypatch.setattr(mutation, "MAX_SEARCH_NODES", 26)
-    with pytest.raises(UnsupportedRangeError, match="more than 26 collections"):
-        search_path(start, unreachable, max_depth=3)
+    beyond = _layers(start, 4)[3][0]
+    # Both sides together expand 8 collections before depth 3 runs out: the
+    # start, the goal, and the start's 6 children in the last layer.
+    monkeypatch.setattr(mutation, "MAX_SEARCH_NODES", 8)
+    assert search_path(start, beyond, max_depth=3) is None
+    monkeypatch.setattr(mutation, "MAX_SEARCH_NODES", 7)
+    with pytest.raises(UnsupportedRangeError, match="more than 7 collections"):
+        search_path(start, beyond, max_depth=3)
+
+
+def _count_checks(monkeypatch):
+    checked = []
+    check = mutation.check_collection
+    monkeypatch.setattr(mutation, "check_collection", lambda c: checked.append(c) or check(c))
+    return checked
 
 
 def test_search_checks_only_the_collections_it_keeps(monkeypatch):
     from sodatlas.catalog.scripts import link_script
 
     start = link_script("I-9-8").side1
-    unreachable = Collection(start.surface, start.blocks[:1])
-    checked = []
-    check = mutation.check_collection
-    monkeypatch.setattr(mutation, "check_collection", lambda c: checked.append(c) or check(c))
-    assert search_path(start, unreachable, max_depth=3) is None
-    # One check per new collection of depth 1 or 2, the ones the search
-    # expands; none in the last layer, which holds no goal here.
-    assert len(checked) == 46
-    assert len({canonical_form(c) for c in checked}) == 46
-    # A goal in the last layer is checked before its word is returned.
+    beyond = _layers(start, 4)[3][0]
+    checked = _count_checks(monkeypatch)
+    assert search_path(start, beyond, max_depth=3) is None
+    # The goal first, then one check per new key of a layer that is not
+    # the last: the start's 8 children and the goal's 8.
+    assert canonical_form(checked[0]) == canonical_form(beyond)
+    assert len(checked) == 17
+    assert len({canonical_form(c) for c in checked}) == 17
+    # A goal in the depth-3 layer is checked before anything is expanded.
     goal = _depth3_layer(start)[70]
     checked.clear()
     assert render_script(search_path(start, goal, max_depth=3)) == "L 4; R 2; L 2"
-    assert canonical_form(checked[-1]) == canonical_form(goal)
+    assert canonical_form(checked[0]) == canonical_form(goal)
+    assert len(checked) == len({canonical_form(c) for c in checked})
+    # From a start that fails its own check, most keys fail theirs; a key
+    # that failed is not checked again when a later move reaches it.
+    checked.clear()
+    assert search_path(Collection(start.surface, start.blocks[::-1]), beyond, max_depth=4) is None
+    assert sum(not check_collection(c).ok for c in checked) == 5
+    assert len(checked) == len({canonical_form(c) for c in checked}) == 6
+
+
+def test_search_stops_at_a_goal_that_fails_its_check(monkeypatch):
+    from sodatlas.catalog.scripts import link_script
+
+    start = link_script("I-9-8").side1
+    broken = Collection(start.surface, start.blocks[:1])
+    checked = _count_checks(monkeypatch)
+    expanded = []
+    children = mutation._children
+    monkeypatch.setattr(mutation, "_children", lambda c: expanded.append(c) or children(c))
+    assert search_path(start, broken, max_depth=3) is None
+    assert len(checked) == 1 and not expanded
+
+
+def _layers(start, depth):
+    """The legal collections first reached after 1, ..., depth moves, each
+    layer in the order breadth-first search meets them."""
+    seen, layer, out = {canonical_form(start)}, [start], []
+    for _ in range(depth):
+        nxt = []
+        for coll in layer:
+            for move in mutation._candidate_moves(coll):
+                try:
+                    child = mutation._rewrite(coll, move)
+                except MoveError:
+                    continue
+                key = canonical_form(child)
+                if key not in seen:
+                    seen.add(key)
+                    if check_collection(child).ok:
+                        nxt.append(child)
+        out.append(nxt)
+        layer = nxt
+    return out
 
 
 def _depth3_layer(start):
