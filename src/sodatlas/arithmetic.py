@@ -9,7 +9,6 @@ labels are compared verbatim.
 
 from __future__ import annotations
 
-import ast
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
@@ -17,7 +16,7 @@ from math import prod
 
 from .equivariant import Atom, opaque_atom
 from .errors import InputError
-from .textio import _parse_int, parse_stanzas, stanza_single
+from .textio import _parse_int, _parse_literal, parse_stanzas, stanza_single
 
 TRIVIAL_LABEL = "0"
 
@@ -137,10 +136,7 @@ _PROFILE_KINDS = ("profile", "atoms")
 
 
 def _parse_atom_value(text: str) -> SmallAtom:
-    try:
-        value = ast.literal_eval(text)
-    except (ValueError, SyntaxError) as exc:
-        raise InputError(f"cannot parse atom {text!r}") from exc
+    value = _parse_literal(text, "atom")
     if (
         not isinstance(value, tuple)
         or len(value) != 3
@@ -153,10 +149,7 @@ def _parse_atom_value(text: str) -> SmallAtom:
 
 
 def _parse_opaque_value(text: str) -> Atom:
-    try:
-        value = ast.literal_eval(text)
-    except (ValueError, SyntaxError) as exc:
-        raise InputError(f"cannot parse opaque marker {text!r}") from exc
+    value = _parse_literal(text, "opaque marker")
     if (
         not isinstance(value, tuple)
         or len(value) != 2

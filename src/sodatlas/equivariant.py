@@ -7,19 +7,19 @@ an orbitwise contraction, a permutation-basis certificate for the K-group,
 group cohomology H^1 with lattice coefficients, and the signed G-set sum
 attached to a chain of equivariant blow-ups and blow-downs.
 
-The closure records its Cayley table as it multiplies: `table[t][i]` is the
-index of generator t times element i (Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, ch. 4).  Each group product is made once, there;
-everything after it works on indices.  Orbits of classes come from one walk,
-`_orbit_walk`, over index tables of the same shape, and stabilizers from
-`_stabilizer`.  Conjugacy of stabilizers is tested as h.A = B.h, so the
-layer never inverts a matrix.
+The closure lists the elements breadth-first, identity first.  Orbits of
+classes come from one walk, `_orbit_walk`, over the generators' image
+tables, and stabilizers from `_stabilizer`.  Conjugacy of stabilizers is
+tested as h.A = B.h, so the layer never inverts a matrix.
 
-H^1 has one production route, `_cocycle_h1`: the unknowns are the values of
-a cocycle on the generators, and a walk of the Cayley table supplies the
-relations that cut out Z^1.  The matrices it Smith reduces have |S|.n
-columns and at most |S|.n rows, whatever the group order.  `h1_cyclic` is
-a second, independent route for cyclic groups.
+H^1 needs only the generators and the order N = |G|.  N kills H^1(G, M), so
+the sequence 0 -> M -> M -> M/NM -> 0 of multiplication by N gives
+
+    H^1(G, M) = L / (M^G + N.M),  L = {x : (g - 1)x in N.M for every generator g}
+
+(Brown, *Cohomology of Groups*, III.10).  `_h1` computes it from one kernel
+of |S|.n rows, one Smith solve and one abelian quotient, whatever the group
+order.  `h1_cyclic` is a second, independent route for cyclic groups.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .mutation import Collection
 from .textio import render_kclass
 
 Matrix = tuple[tuple[int, ...], ...]
-Table = tuple[tuple[int, ...], ...]
 
 DEFAULT_CLOSURE_CAP = 10_000
 DEFAULT_H1_CAP = 48
@@ -55,28 +54,22 @@ def _apply(mat: Matrix, d: DivisorClass) -> DivisorClass:
     return DivisorClass(tuple(intlinalg.mat_vec(mat, list(d.coords))))
 
 
-def _close(generators, cap: int) -> tuple[tuple[Matrix, ...], Table]:
-    """Multiplicative closure by breadth-first products, identity first,
-    and its Cayley table: `table[t][i]` is the index of
-    `generators[t] . elements[i]`."""
+def _close(generators, cap: int) -> tuple[Matrix, ...]:
+    """Multiplicative closure by breadth-first products, identity first."""
     if not generators:
         raise InputError("closure needs at least one matrix")
-    n = len(generators[0])
-    elements = [_identity(n)]
-    index = {elements[0]: 0}
-    table = [[] for _ in generators]
+    elements = [_identity(len(generators[0]))]
+    seen = set(elements)
     # The list grows while it is walked, so the walk is breadth-first.
     for m in elements:
-        for g, row in zip(generators, table):
+        for g in generators:
             p = _freeze(intlinalg.mat_mul(g, m))
-            j = index.get(p)
-            if j is None:
-                j = index[p] = len(elements)
+            if p not in seen:
+                seen.add(p)
                 elements.append(p)
                 if len(elements) > cap:
                     raise ActionError(f"group closure exceeded the cap of {cap} elements")
-            row.append(j)
-    return tuple(elements), tuple(map(tuple, table))
+    return tuple(elements)
 
 
 @dataclass(frozen=True)
@@ -84,14 +77,12 @@ class GroupAction:
     """Closed matrix group on the Picard lattice of one surface model.
 
     Built through :func:`group_action`, which checks the generators and
-    enumerates the closure.  `table` is the closure's Cayley table, `()`
-    for the trivial action.
+    enumerates the closure.
     """
 
     surface: SurfaceModel
     generators: tuple[Matrix, ...]
     elements: tuple[Matrix, ...]
-    table: Table = ()
 
     @property
     def order(self) -> int:
@@ -118,21 +109,24 @@ def group_action(surface: SurfaceModel, generators, cap: int = DEFAULT_CLOSURE_C
         frozen.append(g)
     if not frozen:
         return GroupAction(surface, (), (_identity(n),))
-    return GroupAction(surface, tuple(frozen), *_close(frozen, cap))
+    return GroupAction(surface, tuple(frozen), _close(frozen, cap))
 
 
 # -- fixed sublattice and orbits ----------------------------------------------
 
+def _fixed_lattice(generators) -> tuple[list[list[int]], list[list[int]]]:
+    """The rows of g - 1 stacked over the generators, and a basis of their
+    kernel, the fixed sublattice."""
+    n = len(generators[0])
+    rows = [[g[i][j] - (i == j) for j in range(n)] for g in generators for i in range(n)]
+    return rows, intlinalg.kernel_basis(rows)
+
+
 def invariant_rank(action: GroupAction) -> int:
     """Rank of the common fixed sublattice of all generators."""
-    n = action.surface.picard_rank
-    rows = []
-    for g in action.generators:
-        for i in range(n):
-            rows.append([g[i][j] - (1 if i == j else 0) for j in range(n)])
-    if not rows:
-        return n
-    return len(intlinalg.kernel_basis(rows))
+    if not action.generators:
+        return action.surface.picard_rank
+    return len(_fixed_lattice(action.generators)[1])
 
 
 def _orbit_walk(images, n: int) -> list[list[int]]:
@@ -544,65 +538,33 @@ def minimality_proxy(action: GroupAction, parts) -> dict:
 
 # -- H^1 with lattice coefficients ------------------------------------------------
 
-def _cocycle_h1(generators: tuple[Matrix, ...], table: Table) -> list[int]:
-    """Z^1 / B^1 from the values of a cocycle on the generators.
+def _h1(generators: tuple[Matrix, ...], order: int) -> list[int]:
+    """L / (M^G + N.M) for the group of the given order N.
 
-    `table` is the Cayley table `_close` records: elements are indexed in
-    the order it finds them, the identity first, then breadth-first by left
-    multiplication, and `table[t][i]` is the index of s_t times element i.
-
-    A cocycle (f(gh) = f(g) + g.f(h)) is fixed by its values f(s) on the
-    generators: those are the |S|.n unknowns.  Walking the Cayley table in
-    that order from f(1) = 0 writes each f(g) as an n x |S|n matrix in the
-    unknowns; every edge g -> s.g that reaches an element already seen adds
-    the n rows f(s) + s.f(g) - f(sg) = 0.  Their kernel is all of Z^1: the g
-    with f(gh) = f(g) + g.f(h) for every h include the generators and are
-    closed under products, so in a finite group they are all of G.  B^1 is
-    spanned by the coboundaries s -> s.e_k - e_k.
+    L is the x-part of the kernel of the stacked [g - 1 | -N.I] rows, whose
+    other part holds the quotients (g - 1)x / N; the x-part fixes them, so
+    it is a basis of L.  M^G is the kernel of the g - 1 rows alone.
     """
     n = len(generators[0])
-    m = len(generators) * n
-    # Breadth-first order reaches each element from an earlier one, so
-    # value[i] is set before the walk comes to i.
-    value = [None] * len(table[0])
-    value[0] = [[0] * m for _ in range(n)]
-    relations = set()
-    for i, f in enumerate(value):
-        for t, s in enumerate(generators):
-            image = intlinalg.mat_mul(s, f)
-            for r in range(n):
-                image[r][t * n + r] += 1
-            j = table[t][i]
-            known = value[j]
-            if known is None:
-                value[j] = image
-            else:
-                relations.update(tuple(x - y for x, y in zip(a, b)) for a, b in zip(image, known))
-    # The Hermite form is canonical, so the set's order cannot show in the
-    # result, and it spans the same lattice in at most |S|n rows: the Smith
-    # reduction behind the kernel stays small at any group order.
-    relations = intlinalg.hermite_row_form(relations)
-    kernel = intlinalg.kernel_basis(relations) if relations else intlinalg.identity(m)
-    if not kernel:
-        return []
-    coboundaries = [[s[r][k] - (r == k) for s in generators for r in range(n)] for k in range(n)]
-    coords = intlinalg.solve_many(intlinalg.transpose(kernel), coboundaries)
+    rows, fixed = _fixed_lattice(generators)
+    stacked = [row + [-order * (i == k) for k in range(len(rows))] for i, row in enumerate(rows)]
+    lattice = [v[:n] for v in intlinalg.kernel_basis(stacked)]
+    spanning = fixed + [[order * (i == k) for i in range(n)] for k in range(n)]
+    coords = intlinalg.solve_many(intlinalg.transpose(lattice), spanning)
     if None in coords:
-        raise VerificationError("coboundary falls outside the cocycle lattice")
-    factors = intlinalg.abelian_quotient(len(kernel), coords)
-    if 0 in factors:
-        raise VerificationError("H^1 came out infinite; the input is not a finite group action")
-    return [f for f in factors if f > 1]
+        raise VerificationError("a vector of M^G + N.M falls outside L")
+    return intlinalg.abelian_quotient(n, coords)
 
 
 def h1_lattice(generators, cap: int = DEFAULT_H1_CAP) -> list[int]:
     """Invariant factors of H^1 for a matrix group given by generators.
 
     Pure lattice arithmetic: no surface, no form or K constraint, so it also
-    serves actions that no surface model can host.
+    serves actions that no surface model can host.  The closure, capped at
+    `cap` elements, supplies only the order.
     """
     generators = tuple(_freeze(g) for g in generators)
-    return _cocycle_h1(generators, _close(generators, cap)[1])
+    return _h1(generators, len(_close(generators, cap)))
 
 
 def h1_picard(action: GroupAction, cap: int = DEFAULT_H1_CAP) -> list[int]:
@@ -613,13 +575,13 @@ def h1_picard(action: GroupAction, cap: int = DEFAULT_H1_CAP) -> list[int]:
         )
     if not action.generators:
         return []
-    return _cocycle_h1(action.generators, action.table)
+    return _h1(action.generators, action.order)
 
 
 def h1_cyclic(generator, cap: int = DEFAULT_H1_CAP) -> list[int]:
     """ker(Norm)/im(g - 1) for the cyclic group generated by one matrix.
 
-    Independent route to H^1 for cyclic groups; the cocycle route must agree.
+    Independent route to H^1 for cyclic groups; `_h1` must agree.
     """
     g = _freeze(generator)
     n = len(g)

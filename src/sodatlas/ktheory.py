@@ -18,13 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import mul
-from typing import Literal
 
 from . import intlinalg
 from .errors import InputError
 from .lattice import DivisorClass, SurfaceModel
-
-Side = Literal["Left", "Right"]
 
 
 @dataclass(frozen=True)
@@ -63,15 +60,6 @@ class KClass:
     def vector(self) -> tuple[int, ...]:
         """Coordinates (rank, c1..., chi) used wherever matrices act on K."""
         return (self.rank,) + self.c1.coords + (self.chi,)
-
-    def normalized_sign(self) -> "KClass":
-        """Flip the sign so the leading nonzero coordinate is positive."""
-        for x in self.vector:
-            if x > 0:
-                return self
-            if x < 0:
-                return -self
-        return self
 
 
 def class_from_vector(surface: SurfaceModel, vec) -> KClass:
@@ -147,11 +135,3 @@ def twist(a: KClass, l: DivisorClass) -> KClass:
 
 def serre_class(a: KClass) -> KClass:
     return twist(a, a.surface.canonical)
-
-
-def mutate_class(e: KClass, t: KClass, side: Side) -> KClass:
-    if side == "Left":
-        return t - euler_pairing(e, t) * e
-    if side == "Right":
-        return t - euler_pairing(t, e) * e
-    raise InputError(f"unknown mutation side {side!r}")

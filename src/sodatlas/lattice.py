@@ -31,6 +31,13 @@ from .errors import InputError, UnsupportedRangeError
 _BASE_RE = re.compile(r"^(P2|F(\d+))$")
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"expected an integer, got {text!r}") from None
+
+
 @dataclass(frozen=True)
 class DivisorClass:
     """Integer vector in a surface basis; arithmetic is componentwise."""
@@ -70,7 +77,7 @@ class SurfaceModel:
     @cached_property
     def hirzebruch_d(self) -> int | None:
         m = _BASE_RE.match(self.base)
-        return int(m.group(2)) if m.group(2) is not None else None
+        return _parse_int(m.group(2)) if m.group(2) is not None else None
 
     @cached_property
     def base_rank(self) -> int:

@@ -306,7 +306,8 @@ def _mutate_block(collection: Collection, index: int, through: int, side: str) -
     Each coefficient is read off the parent's Gram matrix: a class F loses
     g_k e_k with g_k = chi(e_k, F) - sum_{l<k} g_l chi(e_k, e_l) on the
     left and g_k = chi(F, e_k) - sum_{l<k} g_l chi(e_l, e_k) on the right.
-    That is mutate_class applied once per e_k, whatever `through` is; when
+    That is the one-class mutation F -> F - chi(e, F) e (on the right,
+    chi(F, e)) applied once per e_k, whatever `through` is; when
     `through` is orthogonal, as the post-move check requires, it is the
     one-shot projection."""
     moving, mid = collection.blocks[index - 1], collection.blocks[through - 1]

@@ -9,7 +9,7 @@ import re
 
 from .errors import InputError
 from .ktheory import KClass
-from .lattice import DivisorClass, SurfaceModel
+from .lattice import DivisorClass, SurfaceModel, _parse_int
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<sign>[+-])|(?P<int>\d+)|(?P<star>\*)|(?P<name>[A-Za-z][A-Za-z0-9']*))")
 _SURFACE_RE = re.compile(r"^(?P<base>P2|F\d+)\s*(?:\[(?P<orbits>[0-9,\s]*)\])?$")
@@ -21,7 +21,7 @@ def parse_surface_spec(text: str) -> SurfaceModel:
     if not m:
         raise InputError(f"cannot parse surface spec {text!r}")
     orbits = tuple(
-        int(x) for x in (m.group("orbits") or "").replace(" ", "").split(",") if x
+        _parse_int(x) for x in (m.group("orbits") or "").replace(" ", "").split(",") if x
     )
     return SurfaceModel(m.group("base"), orbits)
 
@@ -132,13 +132,6 @@ def stanza_single(stanza: dict[str, list[str]], key: str, default: str | None = 
     return values[0]
 
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise InputError(f"expected an integer, got {text!r}") from None
-
-
 def _names_of(surface: SurfaceModel, stanza: dict[str, list[str]]) -> dict[str, DivisorClass]:
     """The `dict <name> = <divisor>` aliases of a stanza, each over the earlier ones."""
     names: dict[str, DivisorClass] = {}
@@ -150,21 +143,23 @@ def _names_of(surface: SurfaceModel, stanza: dict[str, list[str]]) -> dict[str, 
     return names
 
 
-def parse_int_list(text: str) -> list[int]:
+def _parse_literal(text: str, noun: str):
+    """`ast.literal_eval`, with a parse failure reported as `cannot parse <noun>`."""
     try:
-        value = ast.literal_eval(text)
+        return ast.literal_eval(text)
     except (ValueError, SyntaxError) as exc:
-        raise InputError(f"cannot parse integer list {text!r}") from exc
+        raise InputError(f"cannot parse {noun} {text!r}") from exc
+
+
+def parse_int_list(text: str) -> list[int]:
+    value = _parse_literal(text, "integer list")
     if not isinstance(value, (list, tuple)) or not all(type(x) is int for x in value):
         raise InputError(f"expected a list of integers, got {text!r}")
     return list(value)
 
 
 def parse_matrix(text: str) -> list[list[int]]:
-    try:
-        value = ast.literal_eval(text)
-    except (ValueError, SyntaxError) as exc:
-        raise InputError(f"cannot parse matrix {text!r}") from exc
+    value = _parse_literal(text, "matrix")
     if (
         not isinstance(value, (list, tuple))
         or not value

@@ -8,7 +8,7 @@ must give the same verdict, the same violation texts in the same order and
 the same Gram matrix.
 
 `_rewrite` reads each L/R mutation coefficient off the parent's Gram matrix.
-`_oracle_mutate_block` applies ktheory.mutate_class once per object of the
+`_oracle_mutate_block` applies `mutate_class` once per object of the
 block it mutates through, and must give the same classes, also through a
 block that is not orthogonal.
 """
@@ -19,8 +19,8 @@ import pytest
 
 from sodatlas import intlinalg
 from sodatlas.catalog.scripts import catalog_ids, link_script
-from sodatlas.errors import MoveError
-from sodatlas.ktheory import class_from_vector, euler_form_det, mutate_class
+from sodatlas.errors import InputError, MoveError
+from sodatlas.ktheory import KClass, class_from_vector, euler_form_det, euler_pairing
 from sodatlas.lattice import SurfaceModel
 from sodatlas.mutation import (
     Block,
@@ -171,6 +171,15 @@ def test_euler_form_is_unimodular(surface):
 
 
 # -- L/R coefficients ------------------------------------------------------
+
+
+def mutate_class(e: KClass, t: KClass, side: str) -> KClass:
+    """Left or right mutation of the class t through the class e."""
+    if side == "Left":
+        return t - euler_pairing(e, t) * e
+    if side == "Right":
+        return t - euler_pairing(t, e) * e
+    raise InputError(f"unknown mutation side {side!r}")
 
 
 def _oracle_mutate_block(moving, through, side):

@@ -284,6 +284,9 @@ def test_invariant_rejects_nonpositive_size(tmp_path, capsys):
         ("mutate", "--collection", "collection", "model = P2\nblocks = [a; H; 1] | O"),
         ("profile", "--file", "profile", 'a = (1, 1, "0")\nam = x'),
         ("profile", "--file", "profile", 'a = (1, 1, "0")\nam = 2\nam = 3'),
+        ("sod", "--surface", "surface", "model = F" + "1" * 5000),
+        ("sod", "--surface", "surface", "model = P2[" + "1" * 5000 + "]"),
+        ("sod", "--surface", "surface", "base = F" + "1" * 5000),
     ],
     ids=[
         "sod-genus",
@@ -292,6 +295,9 @@ def test_invariant_rejects_nonpositive_size(tmp_path, capsys):
         "mutate-object-rank",
         "profile-am",
         "profile-repeated-am",
+        "sod-overlong-hirzebruch-model",
+        "sod-overlong-orbit-size",
+        "sod-overlong-hirzebruch-base",
     ],
 )
 def test_malformed_integer_exits_two(tmp_path, capsys, command, flag, section, line):

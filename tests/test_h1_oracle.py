@@ -1,8 +1,13 @@
-"""H^1 from generator cocycles against the full bar complex.
+"""H^1 from the generators and the group order against two former routes.
 
-`bar_h1` is the library's former H^1 route, kept here unchanged as an
-independent oracle: it builds the inhomogeneous bar complex over every pair
-of group elements, |G|^2.n rows by |G|.n columns, and Smith reduces it.
+The library computes H^1(G, M) as L / (M^G + N.M), N = |G|.  Two of its
+former H^1 routes are kept here unchanged as independent oracles:
+
+- `bar_h1` builds the inhomogeneous bar complex over every pair of group
+  elements, |G|^2.n rows by |G|.n columns, and Smith reduces it.
+- `_cocycle_h1` solves for the values of a cocycle on the generators, with
+  the relations read off a walk of the Cayley table; `cocycle_h1` builds
+  that table from the breadth-first closure.
 """
 
 from functools import cache
@@ -57,6 +62,57 @@ def bar_h1(elements):
     return [f for f in factors if f > 1]
 
 
+def _cocycle_h1(generators, table):
+    """Z^1 / B^1 from the values of a cocycle on the generators.
+
+    `table` is the Cayley table `cocycle_h1` builds: elements are indexed in
+    the order it finds them, the identity first, then breadth-first by left
+    multiplication, and `table[t][i]` is the index of s_t times element i.
+
+    A cocycle (f(gh) = f(g) + g.f(h)) is fixed by its values f(s) on the
+    generators: those are the |S|.n unknowns.  Walking the Cayley table in
+    that order from f(1) = 0 writes each f(g) as an n x |S|n matrix in the
+    unknowns; every edge g -> s.g that reaches an element already seen adds
+    the n rows f(s) + s.f(g) - f(sg) = 0.  Their kernel is all of Z^1: the g
+    with f(gh) = f(g) + g.f(h) for every h include the generators and are
+    closed under products, so in a finite group they are all of G.  B^1 is
+    spanned by the coboundaries s -> s.e_k - e_k.
+    """
+    n = len(generators[0])
+    m = len(generators) * n
+    # Breadth-first order reaches each element from an earlier one, so
+    # value[i] is set before the walk comes to i.
+    value = [None] * len(table[0])
+    value[0] = [[0] * m for _ in range(n)]
+    relations = set()
+    for i, f in enumerate(value):
+        for t, s in enumerate(generators):
+            image = intlinalg.mat_mul(s, f)
+            for r in range(n):
+                image[r][t * n + r] += 1
+            j = table[t][i]
+            known = value[j]
+            if known is None:
+                value[j] = image
+            else:
+                relations.update(tuple(x - y for x, y in zip(a, b)) for a, b in zip(image, known))
+    # The Hermite form is canonical, so the set's order cannot show in the
+    # result, and it spans the same lattice in at most |S|n rows: the Smith
+    # reduction behind the kernel stays small at any group order.
+    relations = intlinalg.hermite_row_form(relations)
+    kernel = intlinalg.kernel_basis(relations) if relations else intlinalg.identity(m)
+    if not kernel:
+        return []
+    coboundaries = [[s[r][k] - (r == k) for s in generators for r in range(n)] for k in range(n)]
+    coords = intlinalg.solve_many(intlinalg.transpose(kernel), coboundaries)
+    if None in coords:
+        raise VerificationError("coboundary falls outside the cocycle lattice")
+    factors = intlinalg.abelian_quotient(len(kernel), coords)
+    if 0 in factors:
+        raise VerificationError("H^1 came out infinite; the input is not a finite group action")
+    return [f for f in factors if f > 1]
+
+
 def closure(generators):
     """Every product of the generators, by a plain breadth-first walk."""
     gens = [_freeze(g) for g in generators]
@@ -70,6 +126,15 @@ def closure(generators):
                 seen.add(p)
                 elements.append(p)
     return tuple(elements)
+
+
+def cocycle_h1(generators):
+    """`_cocycle_h1` on the Cayley table of the breadth-first closure."""
+    gens = tuple(_freeze(g) for g in generators)
+    elements = closure(gens)
+    index = {m: i for i, m in enumerate(elements)}
+    table = [[index[_freeze(intlinalg.mat_mul(g, m))] for m in elements] for g in gens]
+    return _cocycle_h1(gens, table)
 
 
 # -- the capped actions of the group-h1 benchmark, typed out again ---------------
@@ -122,16 +187,10 @@ S4_P2_4 = (4, [perm(4, [1, 2, 3, 4]), perm(4, [1, 2])])
 
 
 @pytest.mark.parametrize("name", [*ACTIONS, "s4-p2-4"])
-def test_closure_table_holds_every_generator_product(name):
+def test_closure_lists_the_elements_breadth_first(name):
     n, gens = S4_P2_4 if name == "s4-p2-4" else ACTIONS[name]
     action = group_action(SurfaceModel("P2", (n,)), gens)
-    elements = action.elements
-    assert elements == closure(gens)  # the same breadth-first order, identity first
-    assert len(action.table) == len(gens)
-    for g, row in zip(action.generators, action.table):
-        assert len(row) == len(elements)
-        for i, e in enumerate(elements):
-            assert elements[row[i]] == _freeze(intlinalg.mat_mul(g, e))
+    assert action.elements == closure(gens)  # the same breadth-first order, identity first
 
 
 @cache
@@ -142,7 +201,8 @@ def oracle(name):
 @pytest.mark.parametrize("name", ACTIONS)
 def test_capped_benchmark_actions_agree_with_the_bar_complex(name):
     n, gens = ACTIONS[name]
-    assert h1_picard(group_action(SurfaceModel("P2", (n,)), gens)) == oracle(name)
+    action = group_action(SurfaceModel("P2", (n,)), gens)
+    assert h1_picard(action) == oracle(name) == cocycle_h1(gens)
 
 
 def conjugate(mat, p):
@@ -173,7 +233,6 @@ def test_renumbering_the_exceptional_classes_keeps_h1(case):
 @pytest.mark.parametrize("surface", [SurfaceModel("P2"), SurfaceModel("P2", (3,))])
 def test_trivial_group_agrees_with_the_bar_complex(surface):
     action = group_action(surface, [])
-    assert action.table == ()
     assert h1_picard(action) == bar_h1(action.elements) == []
 
 
@@ -189,20 +248,75 @@ CYCLIC_MODULES = [
 
 @pytest.mark.parametrize("mat", CYCLIC_MODULES)
 def test_lattice_modules_agree_with_the_bar_complex_and_the_cyclic_formula(mat):
-    assert h1_lattice([mat]) == bar_h1(closure([mat])) == h1_cyclic(mat)
+    assert h1_lattice([mat]) == bar_h1(closure([mat])) == h1_cyclic(mat) == cocycle_h1([mat])
 
 
 def test_klein_four_sign_module_agrees_with_the_bar_complex():
     gens = [[[-1, 0], [0, 1]], [[1, 0], [0, -1]]]
-    assert h1_lattice(gens) == bar_h1(closure(gens)) == [2, 2]
+    assert h1_lattice(gens) == bar_h1(closure(gens)) == cocycle_h1(gens) == [2, 2]
 
 
 def test_s4_on_the_degree_five_model_has_trivial_h1():
     action = group_action(SurfaceModel("P2", (4,)), [perm(4, [1, 2, 3, 4]), perm(4, [1, 2])])
     assert action.order == 24
-    assert h1_picard(action) == []
+    assert h1_picard(action) == cocycle_h1(action.generators) == []
 
 
 def test_h1_lattice_stops_at_the_closure_cap():
     with pytest.raises(ActionError, match="cap of 10 elements"):
         h1_lattice([[[1, 1], [0, 1]]], cap=10)
+
+
+# -- random subgroups of W(E_k), with and without the K-involution -----------------
+
+def quadratic_reflection(n):
+    """Reflection in the root H - E1 - E2 - E3 on P2[n]: x -> x + (x.a) a."""
+    root = [1, -1, -1, -1] + [0] * (n - 3)
+    dot = [root[0]] + [-r for r in root[1:]]  # x.a = dot . x
+    return [[(i == j) + dot[j] * root[i] for j in range(n + 1)] for i in range(n + 1)]
+
+
+def _product(mats, n):
+    out = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    for m in mats:
+        out = intlinalg.mat_mul(m, out)
+    return out
+
+
+WEYL_CAP = 200
+
+
+@st.composite
+def weyl_subgroups(draw):
+    """P2[k] for k = 3..8 and generators in W(E_k): words in the transpositions
+    of the E_i and the quadratic reflection, with the Geiser (k = 7) or
+    Bertini (k = 8) involution added when drawn.  A generator whose closure
+    would pass `WEYL_CAP` elements is dropped; the first one never is, since
+    an element of W(E_8) has order at most 30."""
+    k = draw(st.integers(3, 8))
+    letters = st.one_of(
+        st.just(quadratic_reflection(k)),
+        st.lists(st.integers(1, k), min_size=2, max_size=2, unique=True).map(
+            lambda ij: perm(k, ij)
+        ),
+    )
+    words = draw(st.lists(st.lists(letters, min_size=1, max_size=4), min_size=1, max_size=3))
+    gens = [_product(w, k) for w in words]
+    if k >= 7 and draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), involution(k))
+    kept = []
+    for g in gens:
+        try:
+            group_action(SurfaceModel("P2", (k,)), kept + [g], cap=WEYL_CAP)
+        except ActionError:
+            continue
+        kept.append(g)
+    return k, kept
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(weyl_subgroups())
+def test_weyl_subgroups_agree_with_the_cocycle_walk(case):
+    k, gens = case
+    action = group_action(SurfaceModel("P2", (k,)), gens, cap=WEYL_CAP)
+    assert h1_picard(action, cap=WEYL_CAP) == cocycle_h1(action.generators)
