@@ -129,15 +129,6 @@ def _print_gram(gram) -> None:
         print("  " + " ".join(str(x).rjust(width) for x in row))
 
 
-def _collection_records(collection):
-    out = []
-    for block in collection.blocks:
-        out.append(
-            {"opaque": block.opaque, "objects": [o.label for o in block.objects]}
-        )
-    return out
-
-
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -167,7 +158,7 @@ def _cmd_sod(args) -> int:
     coll = standard_sod(space)
     print(f"surface: {surface.describe()}")
     print(f"over: {space.base}")
-    for i, record in enumerate(_collection_records(coll), 1):
+    for i, record in enumerate(_render_blocks(coll), 1):
         print(f"block {i}: {_block_text(record)}")
     print("gram:")
     _print_gram(coll.gram)

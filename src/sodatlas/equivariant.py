@@ -2,15 +2,19 @@
 
 A group is handed over by generator matrices in the surface basis and closed
 by multiplication.  On top of that sit orbit analysis, the rank of the fixed
-sublattice, invariance tests for block collections, extraction of atoms from
-an orbitwise contraction, a permutation-basis certificate for the K-group,
-group cohomology H^1 with lattice coefficients, and the signed G-set sum
-attached to a chain of equivariant blow-ups and blow-downs.
+sublattice, extraction of atoms from an orbitwise contraction, a
+permutation-basis certificate for the K-group, group cohomology H^1 with
+lattice coefficients, and the signed G-set sum attached to a chain of
+equivariant blow-ups and blow-downs.
 
-The closure lists the elements breadth-first, identity first.  Orbits of
-classes come from one walk, `_orbit_walk`, over the generators' image
-tables, and stabilizers from `_stabilizer`.  Conjugacy of stabilizers is
-tested as h.A = B.h, so the layer never inverts a matrix.
+The closure lists the elements breadth-first, identity first.  Where each
+generator sends each item comes from one image table, `_image_table`, which
+is also the stability check; divisors move by `apply_divisor_matrix` and
+K-classes by `sigma_kclass`.  Orbits of divisor classes and of a block's
+K-classes come from one walk over that table, `_orbit_walk`, and the
+certificate's permutations are its rows.  An orbit's G-set comes from
+`_orbit_gset`, with the stabilizer of one member.  Conjugacy of stabilizers
+is tested as h.A = B.h, so the layer never inverts a matrix.
 
 H^1 needs only the generators and the order N = |G|.  N kills H^1(G, M), so
 the sequence 0 -> M -> M -> M/NM -> 0 of multiplication by N gives
@@ -27,11 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlinalg
-from .catalog.core import MoriFibreSpace, sigma_kclass, standard_sod
+from .catalog.core import MoriFibreSpace, apply_divisor_matrix, sigma_kclass, standard_sod
 from .errors import ActionError, InputError, UnsupportedRangeError, VerificationError
 from .ktheory import KClass, torsion_class
 from .lattice import DivisorClass, SurfaceModel
-from .mutation import Collection
 from .textio import render_kclass
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -48,10 +51,6 @@ def _freeze(mat) -> Matrix:
 
 def _identity(n: int) -> Matrix:
     return _freeze(intlinalg.identity(n))
-
-
-def _apply(mat: Matrix, d: DivisorClass) -> DivisorClass:
-    return DivisorClass(tuple(intlinalg.mat_vec(mat, list(d.coords))))
 
 
 def _close(generators, cap: int) -> tuple[Matrix, ...]:
@@ -88,9 +87,6 @@ class GroupAction:
     def order(self) -> int:
         return len(self.elements)
 
-    def identity(self) -> Matrix:
-        return self.elements[0]
-
 
 def group_action(surface: SurfaceModel, generators, cap: int = DEFAULT_CLOSURE_CAP) -> GroupAction:
     n = surface.picard_rank
@@ -104,7 +100,7 @@ def group_action(surface: SurfaceModel, generators, cap: int = DEFAULT_CLOSURE_C
         gt = intlinalg.transpose(g)
         if intlinalg.mat_mul(gt, intlinalg.mat_mul(gram, list(map(list, g)))) != gram:
             raise ActionError("generator does not preserve the intersection form")
-        if _apply(g, k) != k:
+        if apply_divisor_matrix(surface, g, k) != k:
             raise ActionError("generator moves the canonical class")
         frozen.append(g)
     if not frozen:
@@ -127,6 +123,26 @@ def invariant_rank(action: GroupAction) -> int:
     if not action.generators:
         return action.surface.picard_rank
     return len(_fixed_lattice(action.generators)[1])
+
+
+def _image_table(generators, items, key, move, error: str) -> list[list[int]]:
+    """Where each generator sends each item: `table[t][i]` is the index of
+    `move(items[i], generators[t])`, items being told apart by `key`.
+
+    Building the table is the stability check: an image outside the items
+    raises ActionError with `error`, its `{}` filled with the moved item's
+    key."""
+    index = {key(x): i for i, x in enumerate(items)}
+    table = []
+    for g in generators:
+        row = []
+        for x in items:
+            j = index.get(key(move(x, g)))
+            if j is None:
+                raise ActionError(error.format(key(x)))
+            row.append(j)
+        table.append(row)
+    return table
 
 
 def _orbit_walk(images, n: int) -> list[list[int]]:
@@ -156,51 +172,16 @@ def _orbit_walk(images, n: int) -> list[list[int]]:
 def orbits(action: GroupAction, classes) -> tuple[tuple[DivisorClass, ...], ...]:
     """Orbit partition of a stable class set, deterministically ordered."""
     pool = sorted(set(classes), key=lambda d: d.coords)
-    index = {d.coords: i for i, d in enumerate(pool)}
-    # Building the image table is also the stability check.
-    images = []
-    for g in action.generators:
-        row = []
-        for d in pool:
-            j = index.get(tuple(intlinalg.mat_vec(g, d.coords)))
-            if j is None:
-                raise ActionError(
-                    f"class set is not stable: generator moves {d.coords} outside the set"
-                )
-            row.append(j)
-        images.append(row)
+    images = _image_table(
+        action.generators,
+        pool,
+        lambda d: d.coords,
+        lambda d, g: apply_divisor_matrix(action.surface, g, d),
+        "class set is not stable: generator moves {} outside the set",
+    )
     return tuple(
         tuple(pool[i] for i in sorted(orbit)) for orbit in _orbit_walk(images, len(pool))
     )
-
-
-def _stabilizer(action: GroupAction, d: DivisorClass) -> frozenset:
-    return frozenset(g for g in action.elements if _apply(g, d) == d)
-
-
-def is_invariant_collection(collection: Collection, action: GroupAction) -> bool:
-    """Every block setwise stable under every generator.
-
-    Transport of a K-class keeps rank and chi: a form-preserving K-fixing
-    matrix leaves the Riemann-Roch value of any (rank, c1) pair alone.
-    """
-    if collection.surface != action.surface:
-        raise InputError("collection and action live on different surface models")
-    for block in collection.blocks:
-        vectors = [list(c.vector) for c in block.classes()]
-        if block.opaque:
-            span = intlinalg.hermite_row_form(vectors)
-            for g in action.generators:
-                moved = [list(sigma_kclass(c, g).vector) for c in block.classes()]
-                if intlinalg.hermite_row_form(moved) != span:
-                    return False
-        else:
-            members = {tuple(v) for v in vectors}
-            for g in action.generators:
-                moved = {sigma_kclass(c, g).vector for c in block.classes()}
-                if moved != members:
-                    return False
-    return True
 
 
 # -- transitive G-sets and the Burnside sum -----------------------------------
@@ -243,11 +224,19 @@ def gsets_equal(a: TransitiveGSet, b: TransitiveGSet) -> bool:
     return False
 
 
+def _orbit_gset(action: GroupAction, size: int, member: DivisorClass) -> TransitiveGSet:
+    """The G-set of an orbit of `size` points, one of which is `member`."""
+    stabilizer = frozenset(
+        g for g in action.elements if apply_divisor_matrix(action.surface, g, member) == member
+    )
+    return TransitiveGSet(size, stabilizer, action.elements)
+
+
 def orbit_gset(action: GroupAction, classes) -> TransitiveGSet:
     parts = orbits(action, classes)
     if len(parts) != 1:
         raise ActionError(f"expected a single orbit, found {len(parts)}")
-    return TransitiveGSet(len(parts[0]), _stabilizer(action, parts[0][0]), action.elements)
+    return _orbit_gset(action, len(parts[0]), parts[0][0])
 
 
 def _reduce_terms(pairs):
@@ -381,22 +370,6 @@ def _pull_class(surface: SurfaceModel, cols: list[int], cls: KClass) -> KClass:
     return KClass(surface, cls.rank, DivisorClass(tuple(c)), cls.chi)
 
 
-def _class_orbits(action: GroupAction, classes) -> list[list[KClass]]:
-    """Orbit partition of a list of K-classes in walk order; raises when
-    unstable."""
-    vectors = {c.vector: i for i, c in enumerate(classes)}
-    images = []
-    for g in action.generators:
-        row = []
-        for c in classes:
-            j = vectors.get(sigma_kclass(c, g).vector)
-            if j is None:
-                raise ActionError("minimal-model block is not invariant under the action")
-            row.append(j)
-        images.append(row)
-    return [[classes[i] for i in orbit] for orbit in _orbit_walk(images, len(classes))]
-
-
 def atom_multiset(surface: SurfaceModel, action: GroupAction, contraction) -> list[Atom]:
     """Atoms of a surface presented by contracting blown orbits to a minimal
     model.
@@ -430,7 +403,7 @@ def atom_multiset(surface: SurfaceModel, action: GroupAction, contraction) -> li
         parts = orbits(action, members)
         if len(parts) != 1:
             raise ActionError(f"blow-up orbit {i} splits under the action; not one orbit")
-        gset = TransitiveGSet(len(parts[0]), _stabilizer(action, parts[0][0]), action.elements)
+        gset = _orbit_gset(action, len(parts[0]), parts[0][0])
         payload = tuple(torsion_class(surface, e, -1) for e in parts[0])
         blown_atoms.append(permutation_atom(gset, classes=payload))
     kept = [i for i in range(len(ranges)) if i not in chosen]
@@ -451,11 +424,18 @@ def atom_multiset(surface: SurfaceModel, action: GroupAction, contraction) -> li
         if block.opaque:
             atoms.append(opaque_atom("O-perp", terminal.degree, classes=tuple(pulled)))
             continue
-        for orbit in _class_orbits(action, pulled):
+        images = _image_table(
+            action.generators,
+            pulled,
+            lambda c: c.vector,
+            sigma_kclass,
+            "minimal-model block is not invariant under the action",
+        )
+        for orbit in _orbit_walk(images, len(pulled)):
+            members = tuple(pulled[i] for i in orbit)
             # transport keeps rank and chi, so a K-class is fixed with its c1
-            stab = _stabilizer(action, orbit[0].c1)
-            gset = TransitiveGSet(len(orbit), stab, action.elements)
-            atoms.append(permutation_atom(gset, classes=tuple(orbit)))
+            gset = _orbit_gset(action, len(members), members[0].c1)
+            atoms.append(permutation_atom(gset, classes=members))
     return atoms + blown_atoms
 
 
@@ -486,27 +466,25 @@ def permutation_basis_certificate(surface: SurfaceModel, atoms, action: GroupAct
     rows = [list(c.vector) for c in classes]
     if abs(intlinalg.det(rows)) != 1:
         raise ActionError("atom payload is not a Z-basis of the K-group")
-    index = {c.vector: i for i, c in enumerate(classes)}
-    gens = action.generators or (action.identity(),)
-    permutations = []
+    # the trivial group's only element, the identity, stands in for a generator
+    permutations = _image_table(
+        action.generators or action.elements,
+        classes,
+        lambda c: c.vector,
+        sigma_kclass,
+        "a generator moves a basis object off the basis",
+    )
     matrices = []
-    for g in gens:
-        perm = []
-        for c in classes:
-            j = index.get(sigma_kclass(c, g).vector)
-            if j is None:
-                raise ActionError("a generator moves a basis object off the basis")
-            perm.append(j)
+    for perm in permutations:
         mat = [[0] * want for _ in range(want)]
         for src, dst in enumerate(perm):
             mat[dst][src] = 1
-        permutations.append(tuple(perm))
         matrices.append(_freeze(mat))
     return {
         "ok": True,
         "size": want,
         "basis": [render_kclass(c) for c in classes],
-        "permutations": permutations,
+        "permutations": [tuple(perm) for perm in permutations],
         "matrices": matrices,
     }
 

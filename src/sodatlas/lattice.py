@@ -176,11 +176,6 @@ class SurfaceModel:
             return self_int
         return None
 
-    def blow_up(self, orbit_size: int) -> "SurfaceModel":
-        if orbit_size < 1:
-            raise InputError("orbit size must be positive")
-        return SurfaceModel(self.base, self.blowup_orbits + (orbit_size,))
-
     # -- enumeration ---------------------------------------------------------
 
     def enumerate_r_classes(self, r: int) -> set[DivisorClass]:

@@ -507,12 +507,15 @@ def canonical_form(collection: Collection):
 # -- scripts and certificates ----------------------------------------------
 
 def _render_blocks(collection: Collection) -> list[dict]:
+    """Each block's opaque flag and object labels: an object's name where it
+    has one (only a standard decomposition names its objects), else its
+    `(rank; c1; chi)` form."""
     out = []
     for b in collection.blocks:
         out.append(
             {
                 "opaque": b.opaque,
-                "objects": [render_kclass(o.cls) for o in b.objects],
+                "objects": [o.label for o in b.objects],
             }
         )
     return out

@@ -144,10 +144,14 @@ def _names_of(surface: SurfaceModel, stanza: dict[str, list[str]]) -> dict[str, 
 
 
 def _parse_literal(text: str, noun: str):
-    """`ast.literal_eval`, with a parse failure reported as `cannot parse <noun>`."""
+    """`ast.literal_eval`, with a parse failure reported as `cannot parse <noun>`.
+
+    A deeply nested literal exhausts the parser's stack (`MemoryError`) or the
+    recursion limit of AST construction (`RecursionError`): a parse failure
+    too."""
     try:
         return ast.literal_eval(text)
-    except (ValueError, SyntaxError) as exc:
+    except (ValueError, SyntaxError, RecursionError, MemoryError) as exc:
         raise InputError(f"cannot parse {noun} {text!r}") from exc
 
 

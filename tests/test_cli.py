@@ -218,9 +218,10 @@ def test_atoms_for_a_blown_orbit(tmp_path, capsys):
         "--surface", str(surface), "--action", str(action), "--contraction", str(contraction),
     )
     assert code == 0
-    assert out.count("atom: permutation, orbit size 1") == 3
-    assert "atom: permutation, orbit size 2" in out
-    assert "count: 4" in out
+    assert out == (
+        "atom: permutation, orbit size 1\n" * 3
+        + "atom: permutation, orbit size 2\ncount: 4\n"
+    )
 
 def test_atoms_with_k_nef_terminal(tmp_path, capsys):
     surface, action, contraction = _atom_files(tmp_path)
@@ -230,8 +231,24 @@ def test_atoms_with_k_nef_terminal(tmp_path, capsys):
         "--surface", str(surface), "--action", str(action), "--contraction", str(contraction),
     )
     assert code == 0
-    assert "atom: opaque K-nef, degree 7" in out
-    assert "count: 1" in out
+    assert out == "atom: opaque K-nef, degree 7\ncount: 1\n"
+
+def test_atoms_for_the_hexagon_action_over_a_point(tmp_path, capsys):
+    surface, _, contraction = _atom_files(tmp_path)
+    surface.write_text("[surface]\nmodel = P2[3]\n")
+    contraction.write_text("[contraction]\nterminal = Point\nmodel = P2[3]\n")
+    code, out, _ = run(
+        capsys, "atoms",
+        "--surface", str(surface), "--action", str(_hexagon_file(tmp_path)),
+        "--contraction", str(contraction),
+    )
+    assert code == 0
+    assert out == (
+        "atom: permutation, orbit size 2\n"
+        "atom: permutation, orbit size 3\n"
+        "atom: permutation, orbit size 1\n"
+        "count: 3\n"
+    )
 
 def test_atoms_rejects_mismatched_models(tmp_path, capsys):
     surface, action, contraction = _atom_files(tmp_path)
@@ -287,6 +304,12 @@ def test_invariant_rejects_nonpositive_size(tmp_path, capsys):
         ("sod", "--surface", "surface", "model = F" + "1" * 5000),
         ("sod", "--surface", "surface", "model = P2[" + "1" * 5000 + "]"),
         ("sod", "--surface", "surface", "base = F" + "1" * 5000),
+        ("sod", "--surface", "surface", "base = P2\nblowups = " + "-" * 3000 + "1"),
+        ("sod", "--surface", "surface", "base = P2\nblowups = " + "-" * 100_000 + "1"),
+        ("group", "--action", "group", "model = P2\ngen = " + "-" * 3000 + "1"),
+        ("group", "--action", "group", "model = P2\ngen = " + "-" * 100_000 + "1"),
+        ("profile", "--file", "profile", "a = (" + "-" * 3000 + '1, 1, "0")'),
+        ("profile", "--file", "profile", "a = (" + "-" * 100_000 + '1, 1, "0")'),
     ],
     ids=[
         "sod-genus",
@@ -298,6 +321,12 @@ def test_invariant_rejects_nonpositive_size(tmp_path, capsys):
         "sod-overlong-hirzebruch-model",
         "sod-overlong-orbit-size",
         "sod-overlong-hirzebruch-base",
+        "sod-deep-blowups",
+        "sod-deeper-blowups",
+        "group-deep-gen",
+        "group-deeper-gen",
+        "profile-deep-atom",
+        "profile-deeper-atom",
     ],
 )
 def test_malformed_integer_exits_two(tmp_path, capsys, command, flag, section, line):

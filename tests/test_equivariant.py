@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sodatlas import intlinalg
-from sodatlas.catalog.core import MoriFibreSpace, standard_sod
+from sodatlas.catalog.core import MoriFibreSpace, apply_divisor_matrix
 from sodatlas.equivariant import (
     Atom,
     BurnsideElement,
@@ -21,7 +21,6 @@ from sodatlas.equivariant import (
     h1_lattice,
     h1_picard,
     invariant_rank,
-    is_invariant_collection,
     minimality_proxy,
     opaque_atom,
     orbit_gset,
@@ -30,9 +29,7 @@ from sodatlas.equivariant import (
     permutation_atom,
 )
 from sodatlas.errors import ActionError, InputError, UnsupportedRangeError
-from sodatlas.ktheory import line_bundle_class
 from sodatlas.lattice import SurfaceModel
-from sodatlas.mutation import collection_of_classes
 
 P2 = SurfaceModel("P2")
 BL2 = SurfaceModel("P2", (2,))
@@ -206,44 +203,42 @@ def test_weyl_action_is_transitive_on_the_ten_minus_one_classes():
     assert [len(p) for p in parts] == [10]
 
 
-def test_orbits_reject_unstable_sets():
+def _unstable_orbits():
     a = group_action(BL2, [perm_matrix(3, {1: 2, 2: 1})])
-    with pytest.raises(ActionError):
-        orbits(a, [BL2.basis_class("E1")])
+    orbits(a, [BL2.basis_class("E1")])
 
 
-# -- invariant collections ---------------------------------------------------------
-
-def test_beilinson_collection_invariant_under_trivial_action():
-    h = P2.basis_class("H")
-    coll = collection_of_classes(
-        P2,
-        [
-            [line_bundle_class(P2, -2 * h)],
-            [line_bundle_class(P2, -1 * h)],
-            [line_bundle_class(P2, P2.zero_divisor())],
-        ],
-    )
-    assert is_invariant_collection(coll, group_action(P2, []))
-
-
-def test_degree_six_standard_collection_invariant_under_hexagon():
-    coll = standard_sod(MoriFibreSpace(BL3, "Point"))
-    assert is_invariant_collection(coll, hexagon_action())
-
-
-def test_single_ruling_block_not_invariant_under_the_ruling_swap():
+def _unstable_block():
+    # the ruling swap exchanges the two middle blocks of the conic bundle
     swap = group_action(F0, [perm_matrix(2, {0: 1, 1: 0})])
-    coll = collection_of_classes(
-        F0, [[line_bundle_class(F0, -1 * F0.basis_class("h"))]], full=False
-    )
-    assert not is_invariant_collection(coll, swap)
+    ruling = MoriFibreSpace(F0, "RationalCurve", fibration_class=F0.basis_class("h"))
+    atom_multiset(F0, swap, [ruling])
 
 
-def test_mismatched_surface_rejected():
-    coll = standard_sod(MoriFibreSpace(BL3, "Point"))
-    with pytest.raises(InputError):
-        is_invariant_collection(coll, group_action(P2, []))
+def _basis_moved_off():
+    # atoms read off under the trivial action; the reflection in s - E1 - E2
+    # sends O(-h) to a class outside their basis
+    surface = SurfaceModel("F0", (1, 1))
+    ruling = MoriFibreSpace(F0, "RationalCurve", fibration_class=F0.basis_class("h"))
+    atoms = atom_multiset(surface, group_action(surface, []), [0, 1, ruling])
+    reflection = [[1, 1, 1, 1], [0, 1, 0, 0], [0, -1, 0, -1], [0, -1, -1, 0]]
+    permutation_basis_certificate(surface, atoms, group_action(surface, [reflection]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (_unstable_orbits, "class set is not stable: generator moves (0, 1, 0) outside the set"),
+        (_unstable_block, "minimal-model block is not invariant under the action"),
+        (_basis_moved_off, "a generator moves a basis object off the basis"),
+    ],
+    ids=["orbits", "atom-block", "certificate"],
+)
+def test_unstable_items_raise_the_callers_action_error(call, message):
+    with pytest.raises(ActionError) as caught:
+        call()
+    assert type(caught.value) is ActionError
+    assert str(caught.value) == message
 
 
 # -- transitive G-sets and the Burnside sum ------------------------------------------
@@ -251,7 +246,7 @@ def test_mismatched_surface_rejected():
 def test_orbit_stabilizer_count_checked():
     a = group_action(BL2, [perm_matrix(3, {1: 2, 2: 1})])
     with pytest.raises(InputError):
-        TransitiveGSet(3, frozenset({a.identity()}), a.elements)
+        TransitiveGSet(3, frozenset({a.elements[0]}), a.elements)
 
 
 def test_orbit_gset_records_size_and_stabilizer():
@@ -273,9 +268,7 @@ def test_conjugate_stabilizers_compare_equal():
     e1, e3 = BL3.basis_class("E1"), BL3.basis_class("E3")
 
     def stab(d):
-        from sodatlas.equivariant import _apply
-
-        return frozenset(g for g in s3.elements if _apply(g, d) == d)
+        return frozenset(g for g in s3.elements if apply_divisor_matrix(BL3, g, d) == d)
 
     a = TransitiveGSet(3, stab(e1), s3.elements)
     b = TransitiveGSet(3, stab(e3), s3.elements)
@@ -460,6 +453,69 @@ def test_certificate_for_the_hexagon_action():
     cert = permutation_basis_certificate(BL3, atoms, a)
     assert cert["ok"] and cert["size"] == 6
     assert len(cert["permutations"]) == 2
+
+
+# criterion 10 of selftest: the plane, a blown orbit of size two, the hexagon
+@pytest.mark.parametrize(
+    "surface, gens, contraction, expected",
+    [
+        (
+            P2, [], [MoriFibreSpace(P2, "Point")],
+            {
+                "ok": True,
+                "size": 3,
+                "basis": ["(1; -2; 0)", "(1; -1; 0)", "(1; 0; 1)"],
+                "permutations": [(0, 1, 2)],
+                "matrices": [((1, 0, 0), (0, 1, 0), (0, 0, 1))],
+            },
+        ),
+        (
+            BL2, [perm_matrix(3, {1: 2, 2: 1})], [0, MoriFibreSpace(P2, "Point")],
+            {
+                "ok": True,
+                "size": 5,
+                "basis": [
+                    "(1; -2,0,0; 0)", "(1; -1,0,0; 0)", "(1; 0,0,0; 1)",
+                    "(0; 0,0,1; 0)", "(0; 0,1,0; 0)",
+                ],
+                "permutations": [(0, 1, 2, 4, 3)],
+                "matrices": [
+                    (
+                        (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                        (0, 0, 0, 0, 1), (0, 0, 0, 1, 0),
+                    )
+                ],
+            },
+        ),
+        (
+            BL3, [HEX_ROT, perm_matrix(4, {1: 2, 2: 1})], [MoriFibreSpace(BL3, "Point")],
+            {
+                "ok": True,
+                "size": 6,
+                "basis": [
+                    "(1; -1,0,0,0; 0)", "(1; -2,1,1,1; 0)", "(1; -1,1,0,0; 0)",
+                    "(1; -1,0,0,1; 0)", "(1; -1,0,1,0; 0)", "(1; 0,0,0,0; 1)",
+                ],
+                "permutations": [(1, 0, 3, 4, 2, 5), (0, 1, 4, 3, 2, 5)],
+                "matrices": [
+                    (
+                        (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0),
+                        (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1),
+                    ),
+                    (
+                        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0),
+                        (0, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1),
+                    ),
+                ],
+            },
+        ),
+    ],
+    ids=["plane", "blown-pair", "hexagon"],
+)
+def test_certificates_of_the_worked_examples(surface, gens, contraction, expected):
+    action = group_action(surface, gens)
+    atoms = atom_multiset(surface, action, contraction)
+    assert permutation_basis_certificate(surface, atoms, action) == expected
 
 
 def test_certificate_rejects_opaque_atoms():

@@ -147,15 +147,17 @@ def test_enumeration_gate():
 
 
 def test_blow_up_bookkeeping():
-    s = P2.blow_up(3)
+    s = SurfaceModel("P2", (3,))
     assert s.describe() == "P2[3]"
     assert s.degree == 6 and s.picard_rank == 4
-    s2 = s.blow_up(1)
+    s2 = SurfaceModel("P2", (3, 1))
     assert s2.degree == 5
     assert s2.orbit_ranges() == [range(1, 4), range(4, 5)]
-    f = F0.blow_up(2)
+    f = SurfaceModel("F0", (2,))
     assert f.degree == 6 and f.picard_rank == 4
     assert f.labels == ("s", "h", "E1", "E2")
+    with pytest.raises(InputError):
+        SurfaceModel("P2", (3, 0))
 
 
 def test_divisor_validation():
