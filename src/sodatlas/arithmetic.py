@@ -16,7 +16,7 @@ from math import prod
 
 from .equivariant import Atom, opaque_atom
 from .errors import InputError
-from .textio import _parse_int, _parse_literal, parse_stanzas, stanza_single
+from .textio import _parse_int, _parse_literal, _quote, parse_stanzas, stanza_single
 
 TRIVIAL_LABEL = "0"
 
@@ -144,7 +144,7 @@ def _parse_atom_value(text: str) -> SmallAtom:
         or type(value[1]) is not int
         or not isinstance(value[2], str)
     ):
-        raise InputError(f"an atom is a (field_degree, index, \"label\") triple, got {text!r}")
+        raise InputError(f"an atom is a (field_degree, index, \"label\") triple, got {_quote(text)}")
     return SmallAtom(value[0], value[1], value[2])
 
 
@@ -156,7 +156,7 @@ def _parse_opaque_value(text: str) -> Atom:
         or not isinstance(value[0], str)
         or type(value[1]) is not int
     ):
-        raise InputError(f"an opaque marker is a (\"shape\", degree) pair, got {text!r}")
+        raise InputError(f"an opaque marker is a (\"shape\", degree) pair, got {_quote(text)}")
     return opaque_atom(value[0], value[1])
 
 

@@ -5,13 +5,11 @@ from ..mutation import serre_power_match
 from .core import (
     LinkDescriptor,
     MoriFibreSpace,
-    apply_divisor_matrix,
     birationally_rich,
     e_bundle_class,
     geiser_bertini_involution,
     opaque_block_for,
     orthogonal_span,
-    sigma_kclass,
     standard_sod,
     validate_link,
 )
@@ -21,7 +19,6 @@ __all__ = [
     "LinkDescriptor",
     "LinkScript",
     "MoriFibreSpace",
-    "apply_divisor_matrix",
     "birationally_rich",
     "catalog_ids",
     "e_bundle_class",
@@ -30,7 +27,6 @@ __all__ = [
     "opaque_block_for",
     "orthogonal_span",
     "serre_power_match",
-    "sigma_kclass",
     "standard_sod",
     "validate_link",
     "verify_link",

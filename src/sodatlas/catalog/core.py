@@ -4,7 +4,7 @@ classification of links between them.
 Everything is modeled on the Picard/K lattice: a fibre space is a surface
 model plus a base kind (and the fibration 0-class when the base is a
 curve), and the standard decomposition is built from enumerated r-classes
-or, in the opaque cases, from the solved orthogonality span.
+or, in the opaque cases, from the span orthogonal under `ktheory.euler_form`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from ..errors import InputError, UnsupportedRangeError
 from ..ktheory import (
     KClass,
     class_from_vector,
+    euler_form,
     euler_row,
     line_bundle_class,
     structure_class,
@@ -91,22 +92,14 @@ def orthogonal_span(
     `left_of` and chi(z, x) = 0 for z in `right_of` (x sits to the left of
     the first group and to the right of the second).  Saturated, so the
     span is exactly the K-theory of the orthogonal subcategory."""
-    dim = surface.picard_rank + 2
-    # form[i] = chi(e_i, -), so chi(x, y) = sum_i x_i (form[i] . y)
-    form = [euler_row(_unit_vector(surface, i)) for i in range(dim)]
+    # row i of the form is chi(e_i, -), so chi(x, y) = sum_i x_i (row i . y)
+    form = euler_form(surface)
     rows = [[sum(map(mul, row, y.vector)) for row in form] for y in left_of]
     rows += [list(euler_row(z)) for z in right_of]
     if not rows:
-        rows = [[0] * dim]
+        rows = [[0] * len(form)]
     basis = intlinalg.kernel_basis(rows)
-    return tuple(class_from_vector(surface, tuple(v)) for v in basis)
-
-
-def _unit_vector(surface: SurfaceModel, i: int) -> KClass:
-    dim = surface.picard_rank + 2
-    vec = [0] * dim
-    vec[i] = 1
-    return class_from_vector(surface, tuple(vec))
+    return tuple(class_from_vector(surface, v) for v in basis)
 
 
 def opaque_block_for(
@@ -331,12 +324,3 @@ def geiser_bertini_involution(degree: int, surface: SurfaceModel) -> list[list[i
     assert intlinalg.mat_mul(intlinalg.transpose(mat), intlinalg.mat_mul(gram, mat)) == gram
     return mat
 
-
-def apply_divisor_matrix(surface: SurfaceModel, mat, d: DivisorClass) -> DivisorClass:
-    return surface.divisor(tuple(intlinalg.mat_vec(mat, list(d.coords))))
-
-
-def sigma_kclass(a: KClass, mat) -> KClass:
-    """Push a K-class through a Picard isometry fixing K: rank and
-    holomorphic Euler characteristic are untouched."""
-    return KClass(a.surface, a.rank, apply_divisor_matrix(a.surface, mat, a.c1), a.chi)

@@ -15,8 +15,8 @@ from functools import lru_cache
 from importlib import resources
 
 from ..errors import InputError, VerificationError
-from ..ktheory import KClass, line_bundle_class, structure_class, torsion_class
-from ..lattice import DivisorClass, SurfaceModel
+from ..ktheory import KClass, line_bundle_class, sigma_kclass, structure_class, torsion_class
+from ..lattice import DivisorClass, SurfaceModel, apply_divisor_matrix
 from ..mutation import (
     VERDICT_FAIL,
     VERDICT_OK,
@@ -44,10 +44,8 @@ from ..textio import (
 from .core import (
     LinkDescriptor,
     MoriFibreSpace,
-    apply_divisor_matrix,
     geiser_bertini_involution,
     opaque_block_for,
-    sigma_kclass,
     standard_sod,
     validate_link,
 )

@@ -9,9 +9,9 @@ equivariant blow-ups and blow-downs.
 
 The closure lists the elements breadth-first, identity first.  Where each
 generator sends each item comes from one image table, `_image_table`, which
-is also the stability check; divisors move by `apply_divisor_matrix` and
-K-classes by `sigma_kclass`.  Orbits of divisor classes and of a block's
-K-classes come from one walk over that table, `_orbit_walk`, and the
+is also the stability check; divisors move by `lattice.apply_divisor_matrix`
+and K-classes by `ktheory.sigma_kclass`.  Orbits of divisor classes and of a
+block's K-classes come from one walk over that table, `_orbit_walk`, and the
 certificate's permutations are its rows.  An orbit's G-set comes from
 `_orbit_gset`, with the stabilizer of one member.  Conjugacy of stabilizers
 is tested as h.A = B.h, so the layer never inverts a matrix.
@@ -31,10 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlinalg
-from .catalog.core import MoriFibreSpace, apply_divisor_matrix, sigma_kclass, standard_sod
+from .catalog.core import MoriFibreSpace, standard_sod
 from .errors import ActionError, InputError, UnsupportedRangeError, VerificationError
-from .ktheory import KClass, torsion_class
-from .lattice import DivisorClass, SurfaceModel
+from .ktheory import KClass, sigma_kclass, torsion_class
+from .lattice import DivisorClass, SurfaceModel, apply_divisor_matrix
 from .textio import render_kclass
 
 Matrix = tuple[tuple[int, ...], ...]

@@ -1,10 +1,12 @@
 """K-group of a rational surface in (rank, c1, chi) coordinates.
 
-The group is Z + Pic + Z.  All operations are exact integer arithmetic.
+The group is Z + Pic + Z, with exact integer arithmetic; ``sigma_kclass``
+moves a class by a Picard isometry fixing K.
 
 The Euler pairing is one linear functional per class: ``euler_row(a)`` is
 chi(a, -) on the vector (rank, c1..., chi), so chi(a, b) is an integer dot
-product and a Gram matrix costs one row per class.  Its formula,
+product and a Gram matrix costs one row per class.  ``euler_form`` is the
+matrix X of the pairing, chi(x, y) = x.X.y^T.  Its formula,
 
     chi(a, b) = r_a chi_b + r_b chi_a - r_a r_b + r_b (c1_a.K) - c1_a.c1_b,
 
@@ -21,7 +23,7 @@ from operator import mul
 
 from . import intlinalg
 from .errors import InputError
-from .lattice import DivisorClass, SurfaceModel
+from .lattice import DivisorClass, SurfaceModel, apply_divisor_matrix
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,13 @@ def class_from_vector(surface: SurfaceModel, vec) -> KClass:
     vec = tuple(int(x) for x in vec)
     if len(vec) != surface.picard_rank + 2:
         raise InputError("K-class vector has the wrong length")
-    return KClass(surface, vec[0], surface.divisor(vec[1:-1]), vec[-1])
+    return KClass(surface, vec[0], DivisorClass(vec[1:-1]), vec[-1])
+
+
+def sigma_kclass(a: KClass, mat) -> KClass:
+    """Push a K-class through a Picard isometry fixing K: rank and
+    holomorphic Euler characteristic are untouched."""
+    return KClass(a.surface, a.rank, apply_divisor_matrix(a.surface, mat, a.c1), a.chi)
 
 
 def chi_line_bundle(surface: SurfaceModel, d: DivisorClass) -> int:
@@ -107,12 +115,17 @@ def euler_row(a: KClass) -> tuple[int, ...]:
 
 
 @cache
+def euler_form(surface: SurfaceModel) -> tuple[tuple[int, ...], ...]:
+    """The Euler form X, chi(x, y) = x.X.y^T on (rank, c1..., chi): row i is
+    the euler_row of the i-th unit vector.  Computed once per surface."""
+    units = intlinalg.identity(surface.picard_rank + 2)
+    return tuple(euler_row(class_from_vector(surface, e)) for e in units)
+
+
+@cache
 def euler_form_det(surface: SurfaceModel) -> int:
-    """det X, X the Euler form on (rank, c1..., chi): the Gram matrix of the
-    unit vectors, whose rows are their euler_rows.  Computed once per surface."""
-    n = surface.picard_rank + 2
-    units = (class_from_vector(surface, [int(i == j) for j in range(n)]) for i in range(n))
-    return intlinalg.det([list(euler_row(u)) for u in units])
+    """det X, X = euler_form(surface)."""
+    return intlinalg.det(euler_form(surface))
 
 
 def euler_pairing(a: KClass, b: KClass) -> int:

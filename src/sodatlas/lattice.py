@@ -1,6 +1,6 @@
 """Picard lattices of iterated blow-ups of the plane and of Hirzebruch
 surfaces: intersection form, canonical class, r-class predicate and complete
-bounded enumeration, duality, and blow-up bookkeeping.
+bounded enumeration, duality, blow-up bookkeeping, and divisor transport.
 
 A surface model is purely numerical: a base (``P2`` or ``F<d>``) plus an
 ordered list of orbit sizes of point blow-ups.  The basis is (H, E1..En)
@@ -30,12 +30,22 @@ from .errors import InputError, UnsupportedRangeError
 
 _BASE_RE = re.compile(r"^(P2|F(\d+))$")
 
+MAX_BLOWN_POINTS = 100  # far above the 9 of any catalog model; keeps Picard matrices small
+_QUOTE_LIMIT = 200  # characters of an input text that an error message quotes
+
+
+def _quote(text: str) -> str:
+    """`repr(text)`, cut to _QUOTE_LIMIT characters and the length if longer."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
 
 def _parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise InputError(f"expected an integer, got {text!r}") from None
+        raise InputError(f"expected an integer, got {_quote(text)}") from None
 
 
 @dataclass(frozen=True)
@@ -71,6 +81,10 @@ class SurfaceModel:
         object.__setattr__(self, "blowup_orbits", tuple(int(k) for k in self.blowup_orbits))
         if any(k < 1 for k in self.blowup_orbits):
             raise InputError("orbit sizes must be positive")
+        points = sum(self.blowup_orbits)
+        if points > MAX_BLOWN_POINTS:
+            count = points if points < 2**64 else f"over 2^{points.bit_length() - 1}"
+            raise InputError(f"{count} blown-up points, above the bound of {MAX_BLOWN_POINTS}")
 
     # -- basic shape -------------------------------------------------------
 
@@ -235,6 +249,14 @@ class SurfaceModel:
                 for b in _vectors_with_sum_and_square(n, s, q):
                     found.add(self.divisor((beta, alpha) + tuple(-x for x in b)))
         return found
+
+
+def apply_divisor_matrix(surface: SurfaceModel, mat, d: DivisorClass) -> DivisorClass:
+    """The image of `d` under a matrix on divisor coordinates (its columns
+    are the images of the basis classes): one matrix-vector product."""
+    if len(mat) != surface.picard_rank:
+        raise InputError(f"expected {surface.picard_rank} coefficients, got {len(mat)}")
+    return DivisorClass(tuple(sum(map(mul, row, d.coords)) for row in mat))
 
 
 def _quad_solutions(a2: int, a1: int, a0: int) -> list[int]:

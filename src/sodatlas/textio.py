@@ -9,7 +9,7 @@ import re
 
 from .errors import InputError
 from .ktheory import KClass
-from .lattice import DivisorClass, SurfaceModel, _parse_int
+from .lattice import DivisorClass, SurfaceModel, _parse_int, _quote
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<sign>[+-])|(?P<int>\d+)|(?P<star>\*)|(?P<name>[A-Za-z][A-Za-z0-9']*))")
 _SURFACE_RE = re.compile(r"^(?P<base>P2|F\d+)\s*(?:\[(?P<orbits>[0-9,\s]*)\])?$")
@@ -19,7 +19,7 @@ def parse_surface_spec(text: str) -> SurfaceModel:
     """`P2`, `F0`, `P2[3,2]`, `F0[2]` and friends."""
     m = _SURFACE_RE.match(text.strip())
     if not m:
-        raise InputError(f"cannot parse surface spec {text!r}")
+        raise InputError(f"cannot parse surface spec {_quote(text)}")
     orbits = tuple(
         _parse_int(x) for x in (m.group("orbits") or "").replace(" ", "").split(",") if x
     )
@@ -41,11 +41,11 @@ def parse_divisor(surface: SurfaceModel, text: str, names: dict[str, DivisorClas
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m or m.end() == pos:
-            raise InputError(f"cannot tokenize divisor expression {text!r} at {pos}")
+            raise InputError(f"cannot tokenize divisor expression {_quote(text)} at {pos}")
         pos = m.end()
         if m.group("sign"):
             if coeff is not None:
-                raise InputError(f"dangling coefficient in {text!r}")
+                raise InputError(f"dangling coefficient in {_quote(text)}")
             if not expect_term:
                 expect_term = True
                 sign = 1 if m.group("sign") == "+" else -1
@@ -53,11 +53,11 @@ def parse_divisor(surface: SurfaceModel, text: str, names: dict[str, DivisorClas
                 sign *= 1 if m.group("sign") == "+" else -1
         elif m.group("int"):
             if coeff is not None:
-                raise InputError(f"two coefficients in a row in {text!r}")
+                raise InputError(f"two coefficients in a row in {_quote(text)}")
             coeff = int(m.group("int"))
         elif m.group("star"):
             if coeff is None:
-                raise InputError(f"stray '*' in {text!r}")
+                raise InputError(f"stray '*' in {_quote(text)}")
         else:
             name = m.group("name")
             if name in names:
@@ -67,7 +67,7 @@ def parse_divisor(surface: SurfaceModel, text: str, names: dict[str, DivisorClas
             total = total + (sign * (coeff if coeff is not None else 1)) * base
             sign, coeff, expect_term = 1, None, False
     if coeff is not None or expect_term:
-        raise InputError(f"incomplete divisor expression {text!r}")
+        raise InputError(f"incomplete divisor expression {_quote(text)}")
     return total
 
 
@@ -152,13 +152,13 @@ def _parse_literal(text: str, noun: str):
     try:
         return ast.literal_eval(text)
     except (ValueError, SyntaxError, RecursionError, MemoryError) as exc:
-        raise InputError(f"cannot parse {noun} {text!r}") from exc
+        raise InputError(f"cannot parse {noun} {_quote(text)}") from exc
 
 
 def parse_int_list(text: str) -> list[int]:
     value = _parse_literal(text, "integer list")
     if not isinstance(value, (list, tuple)) or not all(type(x) is int for x in value):
-        raise InputError(f"expected a list of integers, got {text!r}")
+        raise InputError(f"expected a list of integers, got {_quote(text)}")
     return list(value)
 
 
@@ -171,7 +171,7 @@ def parse_matrix(text: str) -> list[list[int]]:
         or len({len(row) for row in value}) != 1
         or not all(type(x) is int for row in value for x in row)
     ):
-        raise InputError(f"expected a rectangular integer matrix, got {text!r}")
+        raise InputError(f"expected a rectangular integer matrix, got {_quote(text)}")
     return [list(row) for row in value]
 
 

@@ -7,8 +7,8 @@ import pytest
 from sodatlas import intlinalg, mutation
 from sodatlas.catalog.scripts import _script_from_stanza
 from sodatlas.errors import InputError, UnsupportedRangeError
-from sodatlas.ktheory import euler_pairing
-from sodatlas.lattice import SurfaceModel
+from sodatlas.ktheory import euler_pairing, sigma_kclass
+from sodatlas.lattice import SurfaceModel, apply_divisor_matrix
 from sodatlas.mutation import (
     VERDICT_OK,
     check_collection,
@@ -20,13 +20,11 @@ from sodatlas.mutation import (
 from sodatlas.catalog import (
     LinkDescriptor,
     MoriFibreSpace,
-    apply_divisor_matrix,
     birationally_rich,
     catalog_ids,
     e_bundle_class,
     geiser_bertini_involution,
     link_script,
-    sigma_kclass,
     standard_sod,
     validate_link,
     verify_link,

@@ -1,12 +1,22 @@
 """Subcommand behaviours, file grammars and exit codes."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sodatlas
 from sodatlas import cli, selftest
 from sodatlas.catalog.scripts import catalog_ids
-from sodatlas.errors import VerificationError
+from sodatlas.errors import InputError, VerificationError
+from sodatlas.lattice import MAX_BLOWN_POINTS, SurfaceModel
+
+SRC = str(Path(sodatlas.__file__).resolve().parents[1])
+CLI = "import sys; from sodatlas import cli; sys.exit(cli.main(sys.argv[1:]))"
 
 HEX_GEN = "[[2,1,1,1],[-1,-1,0,-1],[-1,-1,-1,0],[-1,0,-1,-1]]"
 SWAP12 = "[[1,0,0,0],[0,0,1,0],[0,1,0,0],[0,0,0,1]]"
@@ -304,6 +314,7 @@ def test_invariant_rejects_nonpositive_size(tmp_path, capsys):
         ("sod", "--surface", "surface", "model = F" + "1" * 5000),
         ("sod", "--surface", "surface", "model = P2[" + "1" * 5000 + "]"),
         ("sod", "--surface", "surface", "base = F" + "1" * 5000),
+        ("sod", "--surface", "surface", "base = P2\nblowups = [" + ", ".join(["9" * 4300] * 2) + "]"),
         ("sod", "--surface", "surface", "base = P2\nblowups = " + "-" * 3000 + "1"),
         ("sod", "--surface", "surface", "base = P2\nblowups = " + "-" * 100_000 + "1"),
         ("group", "--action", "group", "model = P2\ngen = " + "-" * 3000 + "1"),
@@ -321,6 +332,7 @@ def test_invariant_rejects_nonpositive_size(tmp_path, capsys):
         "sod-overlong-hirzebruch-model",
         "sod-overlong-orbit-size",
         "sod-overlong-hirzebruch-base",
+        "sod-orbit-sum-beyond-printing",
         "sod-deep-blowups",
         "sod-deeper-blowups",
         "group-deep-gen",
@@ -341,6 +353,60 @@ def test_malformed_integer_exits_two(tmp_path, capsys, command, flag, section, l
     assert code == 2
     assert "error:" in err
     assert "Traceback" not in err
+    # an error quotes a bounded prefix of an overlong input, not all of it
+    assert max(map(len, err.splitlines())) < 400
+
+
+# -- oversized surfaces ----------------------------------------------------------
+
+_ADDRESS_SPACE = 3 * 2**29  # 1.5 GiB, well below the dense Gram matrix of P2[20000]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("command", ["group", "atoms", "sod"])
+def test_oversized_surface_exits_two(tmp_path, command):
+    """A model of 20,000 points is refused before any matrix on its lattice
+    is built.  The command runs in a subprocess with a limited address space,
+    so a regression fails fast there instead of asking this process for
+    gigabytes."""
+    surface = tmp_path / "surface.cfg"
+    surface.write_text("[surface]\nbase = P2\nblowups = [20000]\n")
+    action = tmp_path / "action.cfg"
+    action.write_text("[group]\nmodel = P2[20000]\n")
+    contraction = tmp_path / "contraction.cfg"
+    contraction.write_text("[contraction]\nterminal = K-nef\n")
+    argv = {
+        "group": ["--action", str(action)],
+        "atoms": [
+            "--surface", str(surface), "--action", str(action),
+            "--contraction", str(contraction),
+        ],
+        "sod": ["--surface", str(surface)],
+    }[command]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI, command, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: 20000 blown-up points, above the bound of {MAX_BLOWN_POINTS}\n"
+    assert proc.stdout == ""
+
+
+def test_surface_at_the_bound_is_accepted():
+    assert SurfaceModel("P2", (MAX_BLOWN_POINTS,)).picard_rank == MAX_BLOWN_POINTS + 1
+    with pytest.raises(InputError, match=f"^101 blown-up points, above the bound of {MAX_BLOWN_POINTS}$"):
+        SurfaceModel("F0", (50, 51))
+    with pytest.raises(InputError, match="^over 2\\^64 blown-up points"):
+        SurfaceModel("P2", (2**63, 2**63))
 
 
 @pytest.mark.parametrize(

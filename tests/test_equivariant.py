@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sodatlas import intlinalg
-from sodatlas.catalog.core import MoriFibreSpace, apply_divisor_matrix
+from sodatlas.catalog.core import MoriFibreSpace
 from sodatlas.equivariant import (
     Atom,
     BurnsideElement,
@@ -29,7 +29,7 @@ from sodatlas.equivariant import (
     permutation_atom,
 )
 from sodatlas.errors import ActionError, InputError, UnsupportedRangeError
-from sodatlas.lattice import SurfaceModel
+from sodatlas.lattice import SurfaceModel, apply_divisor_matrix
 
 P2 = SurfaceModel("P2")
 BL2 = SurfaceModel("P2", (2,))

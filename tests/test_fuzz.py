@@ -1,10 +1,13 @@
 """Grammar fuzzing of the CLI file formats.
 
-Random `[collection]` files with `mutate` scripts, and random `[profile]`
-files, go through `cli.main`.  Whatever the input, the exit code is 0, 1
-or 2 and nothing raises: malformed input must end in `error:`, not in a
-traceback.  The examples are derandomized, so every run sees the same
-inputs.
+Random `[collection]` files with `mutate` scripts, random `[profile]` files,
+random `[surface]` files for `sod` and random `[group]` files for `group` go
+through `cli.main`.  Whatever the input, the exit code is 0, 1 or 2 and
+nothing raises: malformed input must end in `error:`, not in a traceback,
+and standard output is flushed before the `error:` line is written.  The
+surface and group files reach extreme orbit counts, deep nesting and
+overlong integers.  The examples are derandomized, so every run sees the
+same inputs.
 """
 
 import contextlib
@@ -109,9 +112,36 @@ def scripts(draw):
     return draw(st.sampled_from(["; ", "\n"])).join(moves)
 
 
+class _Stderr(io.StringIO):
+    """Records what standard output had written through when the first
+    line reached standard error."""
+
+    def __init__(self, stdout_bytes: io.BytesIO):
+        super().__init__()
+        self._stdout_bytes = stdout_bytes
+        self.stdout_then = None
+
+    def write(self, text):
+        if self.stdout_then is None:
+            self.stdout_then = self._stdout_bytes.getvalue()
+        return super().write(text)
+
+
 def _run(argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return cli.main(argv)
+    """`cli.main(argv)` with a buffered standard output; checks that every
+    error is one `error:` line, after all of standard output."""
+    raw = io.BytesIO()
+    out = io.TextIOWrapper(raw, encoding="utf-8", write_through=False)
+    err = _Stderr(raw)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out.flush()
+    text = err.getvalue()
+    assert "Traceback" not in text
+    if text:
+        assert text.startswith("error:") and text.count("\n") == 1
+        assert err.stdout_then == raw.getvalue()
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +221,131 @@ def test_profile_never_raises(workdir, profile):
     path = workdir / "profile.cfg"
     path.write_text(profile)
     assert _run(["profile", "--file", str(path)]) in (0, 1, 2)
+
+
+# -- [surface] files for sod and [group] files for group -------------------------
+
+_DEEP = st.sampled_from([3000, 100_000])
+_HUGE_INT = st.sampled_from(["1" * 5000, "9" * 4300, str(10**40), "-" + "1" * 5000])
+_ORBITS = st.one_of(
+    st.lists(st.integers(1, 3), max_size=4),
+    st.sampled_from([[0], [-1], [100], [101], [20000], [99, 1], [50, 51], [1] * 150, [10**40]]),
+)
+
+
+def _orbit_list(orbits):
+    return "[" + ", ".join(map(str, orbits)) + "]"
+
+
+@st.composite
+def _spec(draw):
+    """A `model =` surface spec: mostly legal, with extreme orbit counts,
+    overlong integers and a few shapes the grammar rejects."""
+    base = draw(st.sampled_from(["P2", "P2", "F0", "F1", "F2", "F3", "Q"]))
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(st.sampled_from(["P2[", "P2[1,,2]", "F", "P2[-1]", ""]))
+    if kind == 1:
+        return base + "[" + draw(_HUGE_INT).lstrip("-") + "]"
+    if kind == 2:
+        return "F" + draw(_HUGE_INT).lstrip("-")
+    orbits = draw(_ORBITS)
+    return base + (_orbit_list(orbits).replace(" ", "") if orbits else "")
+
+
+@st.composite
+def surface_files(draw):
+    lines = ["[surface]"]
+    if draw(st.booleans()):
+        lines.append(f"model = {draw(_spec())}")
+    else:
+        lines.append(f"base = {draw(st.sampled_from(['P2', 'F0', 'F1', 'F2', 'P3']))}")
+        blowups = draw(
+            st.one_of(
+                _ORBITS.map(_orbit_list),
+                _DEEP.map(lambda n: "[" * n + "1" + "]" * n),
+                _DEEP.map(lambda n: "-" * n + "1"),
+                _HUGE_INT.map(lambda x: f"[{x}]"),
+                st.sampled_from(["[1, 2", "(1, 2)", "[1.5]", "[True]", "{1: 2}", "x"]),
+            )
+        )
+        lines.append(f"blowups = {blowups}")
+    over = draw(st.sampled_from(["Point", "Point", "RationalCurve", "Curve", "Plane", None]))
+    if over is not None:
+        lines.append(f"over = {over}")
+    if draw(st.booleans()):
+        fibre = draw(st.sampled_from(["h", "s", "H - E1", "E1", "H - E1 - E2 +", "F", "0"]))
+        lines.append(f"fibre = {fibre}")
+    if draw(st.integers(0, 3)) == 3:
+        lines.append(f"genus = {draw(st.one_of(st.integers(-1, 3).map(str), _HUGE_INT))}")
+    return "\n".join(lines) + "\n"
+
+
+@FUZZ
+@given(surface=surface_files())
+@example(surface="[surface]\nmodel = P2[20000]\nover = RationalCurve\nfibre = H - E1\n")
+@example(surface="[surface]\nmodel = P2[100]\nover = RationalCurve\nfibre = H - E1\n")
+@example(surface="[surface]\nbase = P2\nblowups = [" + ", ".join(["9" * 4300] * 2) + "]\n")
+@example(surface="[surface]\nbase = F0\nblowups = " + "[" * 100_000 + "1" + "]" * 100_000 + "\n")
+def test_sod_never_raises(workdir, surface):
+    path = workdir / "surface.cfg"
+    path.write_text(surface)
+    assert _run(["sod", "--surface", str(path)]) in (0, 1, 2)
+
+
+# Legal models with generators of an action on them.
+_ACTIONS = (
+    ("P2[2]", "[[1,0,0],[0,0,1],[0,1,0]]"),
+    ("P2[3]", "[[2,1,1,1],[-1,-1,0,-1],[-1,-1,-1,0],[-1,0,-1,-1]]"),
+    ("P2[3]", "[[1,0,0,0],[0,0,1,0],[0,1,0,0],[0,0,0,1]]"),
+    ("F0", "[[0,1],[1,0]]"),
+)
+_GENERATORS = tuple(gen for _, gen in _ACTIONS)
+
+
+def _matrix_text(n, entries):
+    return "[" + ",".join("[" + ",".join(entries[i * n : (i + 1) * n]) + "]" for i in range(n)) + "]"
+
+
+@st.composite
+def _generator(draw):
+    kind = draw(st.integers(0, 6))
+    if kind <= 2:
+        return draw(st.sampled_from(_GENERATORS))
+    if kind == 3:
+        n = draw(st.integers(1, 4))
+        entries = draw(st.lists(st.integers(-2, 2).map(str), min_size=n * n, max_size=n * n))
+        return _matrix_text(n, entries)
+    if kind == 4:
+        n = draw(st.sampled_from([3, 101]))
+        entries = [str(int(i % (n + 1) == 0)) for i in range(n * n)]
+        entries[draw(st.integers(0, n * n - 1))] = draw(_HUGE_INT)
+        return _matrix_text(n, entries)
+    if kind == 5:
+        return draw(_DEEP.map(lambda n: "[" * n + "]" * n))
+    return draw(st.sampled_from(["[[1,0],[0]]", "[]", "[[]]", "[[1.0]]", "[[True]]", "x", "[[1]"]))
+
+
+@st.composite
+def group_files(draw):
+    lines = ["[group]"]
+    model, gen = draw(st.sampled_from(_ACTIONS))
+    gens = [gen] if draw(st.booleans()) else []
+    if draw(st.integers(0, 3)) == 3:
+        model = draw(_spec())
+    if draw(st.integers(0, 9)):
+        lines.append(f"model = {model}")
+    gens += draw(st.lists(_generator(), max_size=2))
+    lines += [f"gen = {g}" for g in gens]
+    return "\n".join(lines) + "\n"
+
+
+@FUZZ
+@given(group=group_files())
+@example(group="[group]\nmodel = P2[20000]\ngen = [[1]]\n")
+@example(group="[group]\nmodel = P2[100]\n")
+@example(group="[group]\nmodel = P2[3]\ngen = " + "[" * 100_000 + "]" * 100_000 + "\n")
+def test_group_never_raises(workdir, group):
+    path = workdir / "group.cfg"
+    path.write_text(group)
+    assert _run(["group", "--action", str(path)]) in (0, 1, 2)

@@ -1,0 +1,99 @@
+"""The package's layering, read from the source with `ast`.
+
+`lattice` stands on `errors` alone and `ktheory` on `errors`, `intlinalg`
+and `lattice`.  Each class transport and the Euler form is defined in one
+module, beside its type, and every import of it names that module; the
+symmetry layer takes only `MoriFibreSpace` and `standard_sod` from the
+catalog.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sodatlas"
+
+HOMES = {
+    "apply_divisor_matrix": "lattice",
+    "sigma_kclass": "ktheory",
+    "euler_form": "ktheory",
+}
+
+
+def _module_name(path):
+    parts = path.relative_to(PACKAGE).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+MODULES = {
+    _module_name(path): ast.parse(path.read_text("utf-8"), str(path))
+    for path in sorted(PACKAGE.rglob("*.py"))
+}
+
+
+def _package_of(module):
+    path = PACKAGE / Path(*module.split(".")) if module else PACKAGE
+    return module if path.is_dir() else module.rpartition(".")[0]
+
+
+def _imports(module):
+    """(imported sodatlas module, names taken from it) for each import.  The
+    package imports itself only relatively (tests/test_stdlib_only.py)."""
+    for node in ast.walk(MODULES[module]):
+        if not (isinstance(node, ast.ImportFrom) and node.level):
+            continue
+        base = _package_of(module)
+        for _ in range(node.level - 1):
+            base = base.rpartition(".")[0]
+        target = ".".join(p for p in (base, node.module) if p)
+        names = [alias.name for alias in node.names]
+        if node.module is None:
+            # `from . import intlinalg` imports modules, not names
+            for name in names:
+                yield ".".join(p for p in (target, name) if p), []
+        else:
+            yield target, names
+
+
+def _imported_modules(module):
+    return {target for target, _ in _imports(module)}
+
+
+def test_the_module_map_is_complete():
+    assert {"lattice", "ktheory", "equivariant", "catalog", "catalog.core"} <= set(MODULES)
+    assert _imported_modules("catalog") == {"mutation", "catalog.core", "catalog.scripts"}
+
+
+def test_lattice_stands_on_errors_alone():
+    assert _imported_modules("lattice") == {"errors"}
+
+
+def test_ktheory_stands_on_errors_intlinalg_and_lattice():
+    assert _imported_modules("ktheory") == {"errors", "intlinalg", "lattice"}
+
+
+def test_each_transport_and_the_euler_form_has_one_home():
+    for name, home in HOMES.items():
+        defined = [
+            module
+            for module, tree in MODULES.items()
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        assert defined == [home], name
+        importers = {
+            (module, target)
+            for module in MODULES
+            for target, names in _imports(module)
+            if name in names
+        }
+        assert importers, name
+        assert {target for _, target in importers} == {home}, name
+
+
+def test_the_symmetry_layer_takes_two_names_from_the_catalog():
+    taken = [
+        (target, names)
+        for target, names in _imports("equivariant")
+        if target.partition(".")[0] == "catalog"
+    ]
+    assert taken == [("catalog.core", ["MoriFibreSpace", "standard_sod"])]

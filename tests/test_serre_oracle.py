@@ -16,8 +16,8 @@ from functools import lru_cache
 import pytest
 
 from sodatlas import intlinalg
-from sodatlas.catalog.core import sigma_kclass
 from sodatlas.catalog.scripts import _run_post, catalog_ids, link_script
+from sodatlas.ktheory import sigma_kclass
 from sodatlas.mutation import (
     Block,
     Collection,
