@@ -16,7 +16,7 @@ from importlib import resources
 
 from ..errors import InputError, VerificationError
 from ..ktheory import KClass, line_bundle_class, sigma_kclass, structure_class, torsion_class
-from ..lattice import DivisorClass, SurfaceModel, apply_divisor_matrix
+from ..lattice import DivisorClass, SurfaceModel, _quote, apply_divisor_matrix
 from ..mutation import (
     VERDICT_FAIL,
     VERDICT_OK,
@@ -98,14 +98,14 @@ def _parse_object(surface: SurfaceModel, text: str, names) -> KClass:
     if text.startswith("[") and text.endswith("]"):
         parts = text[1:-1].split(";")
         if len(parts) != 3:
-            raise InputError(f"expected [rank; c1; chi], got {text!r}")
+            raise InputError(f"expected [rank; c1; chi], got {_quote(text)}")
         return KClass(
             surface,
             _parse_int(parts[0]),
             parse_divisor(surface, parts[1], names),
             _parse_int(parts[2]),
         )
-    raise InputError(f"cannot read object {text!r}")
+    raise InputError(f"cannot read object {_quote(text)}")
 
 
 def parse_side(surface: SurfaceModel, text: str, names) -> Collection:
@@ -148,25 +148,25 @@ def _descriptor_for(case: str) -> LinkDescriptor:
         return LinkDescriptor(kind, (_parse_int(parts[1]), _parse_int(parts[2])), "Point")
     if kind == "II" and len(parts) == 4:
         return LinkDescriptor("II", tuple(_parse_int(p) for p in parts[1:]), "Point")
-    raise InputError(f"cannot classify case name {case!r}")
+    raise InputError(f"cannot classify case name {_quote(case)}")
 
 
 def _parse_block_range(text: str) -> tuple[int, int]:
     a, sep, b = text.partition("..")
     if not sep:
-        raise InputError(f"expected a block range a..b, got {text!r}")
+        raise InputError(f"expected a block range a..b, got {_quote(text)}")
     rng = _parse_int(a), _parse_int(b)
     if not 1 <= rng[0] <= rng[1]:
-        raise InputError(f"block range {text!r} needs 1 <= a <= b")
+        raise InputError(f"block range {_quote(text)} needs 1 <= a <= b")
     return rng
 
 
 def _parse_post(text: str, num_moves: int, names, has_involution: bool) -> PostCheck:
     kind, *args = text.split() or [""]
     if kind not in _POST_ARITY:
-        raise InputError(f"unknown post check {kind!r}")
+        raise InputError(f"unknown post check {_quote(kind)}")
     if len(args) != _POST_ARITY[kind]:
-        raise InputError(f"post {kind} takes {_POST_ARITY[kind]} arguments, got {text!r}")
+        raise InputError(f"post {kind} takes {_POST_ARITY[kind]} arguments, got {_quote(text)}")
     if kind == "serre-match":
         prefix = _parse_int(args[0])
         if not 0 <= prefix <= num_moves:
@@ -183,14 +183,14 @@ def _parse_post(text: str, num_moves: int, names, has_involution: bool) -> PostC
         raise InputError(f"post {kind} needs an involution = line")
     if kind == "serre-inv":
         if not args[1].startswith("^"):
-            raise InputError(f"expected a Serre exponent ^k, got {args[1]!r}")
+            raise InputError(f"expected a Serre exponent ^k, got {_quote(args[1])}")
         power = _parse_serre_power(args[1][1:])
         return PostCheck(
             kind, f"post serre-inv {args[0]} ^{power}", rng=_parse_block_range(args[0]), power=power
         )
     for name in args:
         if name not in names:
-            raise InputError(f"sigma-dual name {name!r} has no dict line")
+            raise InputError(f"sigma-dual name {_quote(name)} has no dict line")
     return PostCheck(kind, f"post sigma-dual {args[0]} -> {args[1]}", names=tuple(args))
 
 
@@ -201,13 +201,13 @@ def _script_from_stanza(case: str, stanza, refinement: bool) -> LinkScript:
     if "involution" in stanza:
         word = stanza_single(stanza, "involution")
         if word not in _INVOLUTION_DEGREES:
-            raise InputError(f"{case}: unknown involution {word!r}")
+            raise InputError(f"{case}: unknown involution {_quote(word)}")
         involution = geiser_bertini_involution(_INVOLUTION_DEGREES[word], roof)
     side1 = parse_side(roof, stanza_single(stanza, "side1"), names)
     if refinement:
         target = stanza_single(stanza, "target")
         if target != "standard Point":
-            raise InputError(f"{case}: unknown target {target!r}")
+            raise InputError(f"{case}: unknown target {_quote(target)}")
         side2 = standard_sod(MoriFibreSpace(roof, "Point"))
         descriptor = None
     else:
@@ -251,7 +251,7 @@ def _catalog() -> dict[str, LinkScript]:
             if kind not in ("link", "refinement") or not name:
                 raise InputError(f"{fname}: unexpected stanza [{kind}]")
             if name in scripts:
-                raise InputError(f"duplicate case {name!r}")
+                raise InputError(f"duplicate case {_quote(name)}")
             scripts[name] = _script_from_stanza(name, stanza, kind == "refinement")
     return scripts
 
@@ -264,7 +264,7 @@ def link_script(case: str) -> LinkScript:
     try:
         return _catalog()[case]
     except KeyError:
-        raise InputError(f"unknown case {case!r}; see catalog_ids()") from None
+        raise InputError(f"unknown case {_quote(case)}; see catalog_ids()") from None
 
 
 # -- verification -------------------------------------------------------------

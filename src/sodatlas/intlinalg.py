@@ -1,13 +1,16 @@
-"""Exact integer and rational linear algebra on plain list-of-list matrices.
+"""Exact integer linear algebra on plain list-of-list matrices.
 
-Everything runs over unbounded Python ints, with Fraction where a division
-is unavoidable.  No floats.  Matrices are rectangular lists of rows; none of
-the functions mutate their arguments.
+Everything runs over unbounded Python ints.  No floats.  The determinant and
+the inverse are fraction-free (Bareiss): every division they make is exact.
+`mat_inverse_fraction` is the one routine over Fraction, and no other
+routine here calls it.  Matrices are rectangular lists of rows; none of the
+functions mutate their arguments.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 Matrix = list[list[int]]
 Vector = list[int]
@@ -42,23 +45,32 @@ def transpose(a) -> Matrix:
 
 def mat_mul(a, b) -> Matrix:
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v) -> Vector:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def mat_pow(a, k: int) -> Matrix:
-    """a**k for k >= 0 (k < 0 goes through mat_inverse_integer first)."""
+    """a**k for k >= 0 (k < 0 goes through mat_inverse_integer first).
+
+    Square-and-multiply from the lowest set bit of k: the result starts as
+    the first power it needs and the squaring stops after the highest bit."""
     if k < 0:
         return mat_pow(mat_inverse_integer(a), -k)
-    result = identity(len(a))
+    if k == 0:
+        return identity(len(a))
     base = copy_matrix(a)
+    while not k & 1:
+        base = mat_mul(base, base)
+        k >>= 1
+    result = base
+    k >>= 1
     while k:
+        base = mat_mul(base, base)
         if k & 1:
             result = mat_mul(result, base)
-        base = mat_mul(base, base)
         k >>= 1
     return result
 
@@ -107,14 +119,34 @@ def mat_inverse_fraction(a) -> list[list[Fraction]]:
 
 
 def mat_inverse_integer(a) -> Matrix:
-    """Inverse of an integer matrix that must again be integral."""
-    inv = mat_inverse_fraction(a)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("inverse is not integral")
-        out.append([int(x) for x in row])
-    return out
+    """Inverse of a square integer matrix that must again be integral.
+
+    Fraction-free Gauss-Jordan on [a | 1] (Bareiss): at step k every row
+    i != k becomes (x*p - f*y) // prev, where p is the k-th pivot, f the
+    row's entry in column k and prev the pivot before p.  Every entry is
+    then a minor of [a | 1], so each division is exact.  At the end every
+    pivot is det a up to the sign of the row swaps, and the right half is
+    that pivot times the inverse.  Raises ValueError("singular matrix")
+    when a column has no pivot, and ValueError("inverse is not integral")
+    when the last pivot is not +-1."""
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        m[k], m[piv] = m[piv], m[k]
+        pivot_row = m[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], pivot_row)]
+        prev = p
+    if prev not in (1, -1):
+        raise ValueError("inverse is not integral")
+    return [[x * prev for x in row[n:]] for row in m]
 
 
 def smith_normal_form(a) -> tuple[Matrix, Matrix, Matrix]:

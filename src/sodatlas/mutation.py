@@ -37,7 +37,7 @@ from operator import mul
 from . import intlinalg
 from .errors import InputError, MoveError, UnsupportedRangeError, VerificationError
 from .ktheory import KClass, class_from_vector, euler_form_det, euler_row, twist
-from .lattice import SurfaceModel
+from .lattice import SurfaceModel, _quote
 from .textio import _parse_int, render_kclass
 
 # Largest |n| in `serre a..b ^n`; the catalog uses |n| <= 3 and
@@ -260,7 +260,7 @@ def parse_move(text: str) -> Move:
             return Move(kind, index=_parse_int(m.group(1)), sizes=sizes)
         rng = (_parse_int(m.group(1)), _parse_int(m.group(2)))
         return Move(kind, rng=rng, power=_parse_serre_power(m.group(3)))
-    raise InputError(f"cannot parse move {text!r}")
+    raise InputError(f"cannot parse move {_quote(text)}")
 
 
 def _parse_serre_power(text: str) -> int:

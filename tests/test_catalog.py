@@ -382,6 +382,13 @@ def test_post_lines_parse_to_their_labels():
         (_I_9_8, "serre-inv 1..2 ^2", "involution"),
         (_I_9_8, "sigma-dual h h", "involution"),
         (_IV_2, "sigma-dual h1 nope", "'nope'"),
+        # overlong words are quoted by a bounded prefix and their length
+        (_IV_2, "w" * 100_000, "unknown post check"),
+        (_I_9_8, "serre-match " + "x" * 100_000, "takes 4 arguments"),
+        (_IV_2, "serre-inv " + "7" * 100_000 + " ^2", "a..b"),
+        (_IV_2, "serre-inv 1.." + "0" * 4000 + " ^2", "1 <= a <= b"),
+        (_IV_2, "serre-inv 1..2 " + "2" * 100_000, "^k"),
+        (_IV_2, "sigma-dual h1 " + "n" * 100_000, "has no dict line"),
     ],
 )
 def test_bad_post_line_is_input_error(stanza, post, reason):
@@ -390,6 +397,7 @@ def test_bad_post_line_is_input_error(stanza, post, reason):
         _script_from_stanza(name, fields, kind == "refinement")
     assert str(exc.value).startswith(f"{name}: ")
     assert reason in str(exc.value)
+    assert len(str(exc.value)) < 400
 
 
 # -- Serre identities on the stored cases -----------------------------------------

@@ -321,6 +321,8 @@ def test_invariant_rejects_nonpositive_size(tmp_path, capsys):
         ("group", "--action", "group", "model = P2\ngen = " + "-" * 100_000 + "1"),
         ("profile", "--file", "profile", "a = (" + "-" * 3000 + '1, 1, "0")'),
         ("profile", "--file", "profile", "a = (" + "-" * 100_000 + '1, 1, "0")'),
+        ("mutate", "--collection", "collection", "model = P2\nblocks = [" + "x" * 100_000 + "] | O"),
+        ("mutate", "--collection", "collection", "model = P2\nblocks = O, " + "y" * 100_000),
     ],
     ids=[
         "sod-genus",
@@ -339,6 +341,8 @@ def test_invariant_rejects_nonpositive_size(tmp_path, capsys):
         "group-deeper-gen",
         "profile-deep-atom",
         "profile-deeper-atom",
+        "mutate-overlong-object",
+        "mutate-unreadable-object",
     ],
 )
 def test_malformed_integer_exits_two(tmp_path, capsys, command, flag, section, line):

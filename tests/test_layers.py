@@ -4,7 +4,7 @@
 and `lattice`.  Each class transport and the Euler form is defined in one
 module, beside its type, and every import of it names that module; the
 symmetry layer takes only `MoriFibreSpace` and `standard_sod` from the
-catalog.
+catalog.  The exact kernels of `intlinalg` stay off the Fraction route.
 """
 
 import ast
@@ -97,3 +97,21 @@ def test_the_symmetry_layer_takes_two_names_from_the_catalog():
         if target.partition(".")[0] == "catalog"
     ]
     assert taken == [("catalog.core", ["MoriFibreSpace", "standard_sod"])]
+
+
+FRACTION_FREE = ("mat_inverse_integer", "mat_mul", "mat_vec")
+
+
+def test_the_exact_kernels_do_not_reach_for_fraction():
+    """The Serre step runs through these three; the Fraction route must not
+    come back to them, so that deleting it stays a change to one module."""
+    kernels = {
+        node.name: node
+        for node in MODULES["intlinalg"].body
+        if isinstance(node, ast.FunctionDef) and node.name in FRACTION_FREE
+    }
+    assert sorted(kernels) == sorted(FRACTION_FREE)
+    for name, node in kernels.items():
+        used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        used |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        assert not used & {"Fraction", "mat_inverse_fraction"}, name

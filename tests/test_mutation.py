@@ -139,6 +139,9 @@ def test_serre_exponent_is_capped():
 def test_move_with_an_overlong_integer_is_input_error():
     with pytest.raises(InputError):
         parse_move("L " + "1" * 5000)
+    with pytest.raises(InputError, match="cannot parse move") as exc:
+        parse_move("L " + "x" * 100_000)
+    assert len(str(exc.value)) < 400
 
 
 def test_gram_is_computed_once_per_collection(monkeypatch):
