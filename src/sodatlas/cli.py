@@ -38,7 +38,7 @@ from .equivariant import (
     orbits,
 )
 from .errors import InputError, SodatlasError, UnsupportedRangeError
-from .lattice import SurfaceModel
+from .lattice import SurfaceModel, _quote
 from .mutation import VERDICT_OK, _render_blocks, parse_script, run_script
 from .textio import (
     _names_of,
@@ -185,7 +185,7 @@ def _cmd_mutate(args) -> int:
 def _cmd_verify_link(args) -> int:
     ids = catalog_ids() if args.all else (args.id,)
     if not args.all and args.id not in catalog_ids():
-        raise InputError(f"unknown catalog id {args.id!r}")
+        raise InputError(f"unknown catalog id {_quote(args.id)}")
     failures = []
     for case in ids:
         cert = verify_link(case)

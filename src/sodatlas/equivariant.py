@@ -88,7 +88,7 @@ class GroupAction:
         return len(self.elements)
 
 
-def group_action(surface: SurfaceModel, generators, cap: int = DEFAULT_CLOSURE_CAP) -> GroupAction:
+def group_action(surface: SurfaceModel, generators) -> GroupAction:
     n = surface.picard_rank
     gram = [list(row) for row in surface.gram]
     k = surface.canonical
@@ -105,7 +105,7 @@ def group_action(surface: SurfaceModel, generators, cap: int = DEFAULT_CLOSURE_C
         frozen.append(g)
     if not frozen:
         return GroupAction(surface, (), (_identity(n),))
-    return GroupAction(surface, tuple(frozen), _close(frozen, cap))
+    return GroupAction(surface, tuple(frozen), _close(frozen, DEFAULT_CLOSURE_CAP))
 
 
 # -- fixed sublattice and orbits ----------------------------------------------
@@ -534,29 +534,29 @@ def _h1(generators: tuple[Matrix, ...], order: int) -> list[int]:
     return intlinalg.abelian_quotient(n, coords)
 
 
-def h1_lattice(generators, cap: int = DEFAULT_H1_CAP) -> list[int]:
+def h1_lattice(generators) -> list[int]:
     """Invariant factors of H^1 for a matrix group given by generators.
 
     Pure lattice arithmetic: no surface, no form or K constraint, so it also
     serves actions that no surface model can host.  The closure, capped at
-    `cap` elements, supplies only the order.
+    DEFAULT_H1_CAP elements, supplies only the order.
     """
     generators = tuple(_freeze(g) for g in generators)
-    return _h1(generators, len(_close(generators, cap)))
+    return _h1(generators, len(_close(generators, DEFAULT_H1_CAP)))
 
 
-def h1_picard(action: GroupAction, cap: int = DEFAULT_H1_CAP) -> list[int]:
+def h1_picard(action: GroupAction) -> list[int]:
     """Invariant factors of H^1(G, Pic) for an enumerated surface action."""
-    if action.order > cap:
+    if action.order > DEFAULT_H1_CAP:
         raise UnsupportedRangeError(
-            f"group of order {action.order} exceeds the H^1 cap of {cap}"
+            f"group of order {action.order} exceeds the H^1 cap of {DEFAULT_H1_CAP}"
         )
     if not action.generators:
         return []
     return _h1(action.generators, action.order)
 
 
-def h1_cyclic(generator, cap: int = DEFAULT_H1_CAP) -> list[int]:
+def h1_cyclic(generator) -> list[int]:
     """ker(Norm)/im(g - 1) for the cyclic group generated by one matrix.
 
     Independent route to H^1 for cyclic groups; `_h1` must agree.
@@ -569,8 +569,8 @@ def h1_cyclic(generator, cap: int = DEFAULT_H1_CAP) -> list[int]:
     while p != one:
         powers.append(p)
         p = _freeze(intlinalg.mat_mul(g, p))
-        if len(powers) > cap:
-            raise UnsupportedRangeError(f"cyclic order exceeds the cap of {cap}")
+        if len(powers) > DEFAULT_H1_CAP:
+            raise UnsupportedRangeError(f"cyclic order exceeds the cap of {DEFAULT_H1_CAP}")
     norm = [[sum(m[i][j] for m in powers) for j in range(n)] for i in range(n)]
     kernel = intlinalg.kernel_basis(norm)
     if not kernel:

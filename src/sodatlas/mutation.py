@@ -19,11 +19,10 @@ so +N comes before -N.
 
 apply_move is a move and its check; run_script checks every collection it
 produces.  search_path searches from the start and from the goal at once.
-It rewrites candidates unchecked and keys them with canonical_form first,
-since legality depends only on that key.  It checks the goal first, then
-each new key it keeps on either side, and nothing else: no duplicate, no
-key the other side already holds, and nothing in the last layer the depth
-allows, whose keys only need to meet the other side.
+It checks its two ends and rewrites candidates unchecked: mutation, the
+helix step and a swap of orthogonal blocks keep a collection exceptional
+(Bondal, Izv. Akad. Nauk SSSR 53, 1989; Bondal-Polishchuk, Izv. RAN 57,
+1993).  It replays the word it finds through apply_move, checking each step.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from operator import mul
 from . import intlinalg
 from .errors import InputError, MoveError, UnsupportedRangeError, VerificationError
 from .ktheory import KClass, class_from_vector, euler_form_det, euler_row, twist
-from .lattice import SurfaceModel, _quote
+from .lattice import _QUOTE_LIMIT, SurfaceModel, _quote
 from .textio import _parse_int, render_kclass
 
 # Largest |n| in `serre a..b ^n`; the catalog uses |n| <= 3 and
@@ -266,7 +265,8 @@ def parse_move(text: str) -> Move:
 def _parse_serre_power(text: str) -> int:
     n = _parse_int(text)
     if abs(n) > MAX_SERRE_POWER:
-        raise InputError(f"Serre exponent {text} is above the cap |n| <= {MAX_SERRE_POWER}")
+        shown = text if len(text) <= _QUOTE_LIMIT else _quote(text)
+        raise InputError(f"Serre exponent {shown} is above the cap |n| <= {MAX_SERRE_POWER}")
     return n
 
 
@@ -391,8 +391,8 @@ def _twisted(block: Block, d) -> Block:
 def apply_move(collection: Collection, move: Move) -> Collection:
     """One checked move: raises MoveError on a violated precondition and
     VerificationError if the rewritten collection fails check_collection.
-    This is the move step of run_script; search_path rewrites with
-    _rewrite and checks only the new collections it keeps."""
+    This is the move step of run_script and of search_path's replay of
+    the word it found; the search itself rewrites with _rewrite."""
     out = _rewrite(collection, move)
     report = check_collection(out)
     if not report.ok:
@@ -623,13 +623,10 @@ def search_path(start: Collection, goal: Collection, max_depth: int):
     order, lies on the least word: its parent chain is the prefix, and the
     rest takes at each step the first move down one backward layer.
 
-    Candidates are rewritten unchecked; legality depends only on the key,
-    so a key already seen is dropped unchecked.  The goal is checked first,
-    with the start's `full` flag that every reached collection carries; if
-    it fails, no word reaches it.  After that a key is checked at most
-    once, when one side first keeps it; a key the other side holds needs
-    no check, and keys of the last layer the depth allows are only matched
-    against the other side.  The start, the caller's, is not checked."""
+    Only the ends are checked: the goal first, with the start's `full` flag
+    that every reached collection carries, then the start; if either fails,
+    there is no word.  The word found is replayed through apply_move, which
+    checks each step and raises VerificationError naming a failing move."""
     key = canonical_form(start)
     # Moves keep the surface, so a goal on another surface is never reached.
     if goal.surface != start.surface:
@@ -638,11 +635,10 @@ def search_path(start: Collection, goal: Collection, max_depth: int):
     if key == goal_key:
         return ()
     goal = replace(goal, full=start.full)
-    if max_depth < 1 or not check_collection(goal).ok:
+    if max_depth < 1 or not check_collection(goal).ok or not check_collection(start).ok:
         return None
     parent = {key: None}  # forward side: key -> (parent key, move)
     dist = {goal_key: 0}  # backward side: key -> moves to the goal
-    dropped = set()  # keys that failed their check
     ahead, behind = [(key, start)], [(goal_key, goal)]  # each side's last layer
     depth = expanded = 0
     met = False
@@ -662,14 +658,11 @@ def search_path(start: Collection, goal: Collection, max_depth: int):
                 )
             for move, child in _children(current):
                 ck = canonical_form(child)
-                if ck in known or ck in dropped:
+                if ck in known:
                     continue
                 if ck in other:
                     met = True
                 elif depth == max_depth:
-                    continue
-                elif not check_collection(child).ok:
-                    dropped.add(ck)
                     continue
                 known[ck] = (k, move) if forward else dist[k] + 1
                 new.append((ck, child))
@@ -694,6 +687,9 @@ def search_path(start: Collection, goal: Collection, max_depth: int):
             (m, c) for m, c in _children(current) if dist.get(canonical_form(c)) == togo
         )
         word.append(move)
+    current = start
+    for move in word:
+        current = apply_move(current, move)
     return tuple(word)
 
 

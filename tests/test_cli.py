@@ -131,9 +131,14 @@ def test_verify_link_single_id(capsys):
     assert "verdict" in records[-1]
     assert all(r["ok"] for r in records[:-1])
 
-def test_verify_link_unknown_id(capsys):
-    code, _, err = run(capsys, "verify-link", "--id", "NO-SUCH")
+@pytest.mark.parametrize("case", ["NO-SUCH", "x" * 100_000], ids=["short", "overlong"])
+def test_verify_link_unknown_id(capsys, case):
+    code, _, err = run(capsys, "verify-link", "--id", case)
     assert code == 2 and "unknown catalog id" in err
+    # an overlong id is quoted by a bounded prefix, an ordinary one whole
+    assert max(map(len, err.splitlines())) < 400
+    if case == "NO-SUCH":
+        assert err == "error: unknown catalog id 'NO-SUCH'\n"
 
 def test_verify_link_all_cases_in_order(capsys):
     code, out, _ = run(capsys, "verify-link", "--all")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sodatlas import intlinalg
+from sodatlas import equivariant, intlinalg
 from sodatlas.catalog.core import MoriFibreSpace
 from sodatlas.equivariant import (
     Atom,
@@ -121,15 +121,16 @@ def test_generator_shape_checked():
         group_action(BL2, [[[1, 0], [0, 1]]])
 
 
-def test_closure_cap_enforced():
+def test_closure_cap_enforced(monkeypatch):
     gens = [
         perm_matrix(5, {1: 2, 2: 1}),
         perm_matrix(5, {2: 3, 3: 2}),
         perm_matrix(5, {3: 4, 4: 3}),
         CREMONA,
     ]
+    monkeypatch.setattr(equivariant, "DEFAULT_CLOSURE_CAP", 50)
     with pytest.raises(ActionError):
-        group_action(BL4, gens, cap=50)
+        group_action(BL4, gens)
 
 
 def test_hexagon_closure_is_dihedral_of_order_12():
@@ -608,4 +609,4 @@ def test_h1_cap_is_enforced():
     with pytest.raises(UnsupportedRangeError):
         h1_picard(weyl_action())
     with pytest.raises(UnsupportedRangeError):
-        h1_cyclic([[1, 1], [0, 1]], cap=10)
+        h1_cyclic([[1, 1], [0, 1]])

@@ -13,10 +13,10 @@ former H^1 routes are kept here unchanged as independent oracles:
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sodatlas import intlinalg
+from sodatlas import equivariant, intlinalg
 from sodatlas.equivariant import group_action, h1_cyclic, h1_lattice, h1_picard
 from sodatlas.errors import ActionError, VerificationError
 from sodatlas.lattice import SurfaceModel
@@ -262,9 +262,10 @@ def test_s4_on_the_degree_five_model_has_trivial_h1():
     assert h1_picard(action) == cocycle_h1(action.generators) == []
 
 
-def test_h1_lattice_stops_at_the_closure_cap():
+def test_h1_lattice_stops_at_the_closure_cap(monkeypatch):
+    monkeypatch.setattr(equivariant, "DEFAULT_H1_CAP", 10)
     with pytest.raises(ActionError, match="cap of 10 elements"):
-        h1_lattice([[[1, 1], [0, 1]]], cap=10)
+        h1_lattice([[[1, 1], [0, 1]]])
 
 
 # -- random subgroups of W(E_k), with and without the K-involution -----------------
@@ -307,16 +308,29 @@ def weyl_subgroups(draw):
     kept = []
     for g in gens:
         try:
-            group_action(SurfaceModel("P2", (k,)), kept + [g], cap=WEYL_CAP)
+            group_action(SurfaceModel("P2", (k,)), kept + [g])
         except ActionError:
             continue
         kept.append(g)
     return k, kept
 
 
-@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@pytest.fixture
+def weyl_caps(monkeypatch):
+    """Both caps at WEYL_CAP, the same for every example."""
+    monkeypatch.setattr(equivariant, "DEFAULT_CLOSURE_CAP", WEYL_CAP)
+    monkeypatch.setattr(equivariant, "DEFAULT_H1_CAP", WEYL_CAP)
+
+
+@settings(
+    derandomize=True,
+    max_examples=120,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(weyl_subgroups())
-def test_weyl_subgroups_agree_with_the_cocycle_walk(case):
+def test_weyl_subgroups_agree_with_the_cocycle_walk(weyl_caps, case):
     k, gens = case
-    action = group_action(SurfaceModel("P2", (k,)), gens, cap=WEYL_CAP)
-    assert h1_picard(action, cap=WEYL_CAP) == cocycle_h1(action.generators)
+    action = group_action(SurfaceModel("P2", (k,)), gens)
+    assert h1_picard(action) == cocycle_h1(action.generators)

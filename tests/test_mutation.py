@@ -142,6 +142,12 @@ def test_move_with_an_overlong_integer_is_input_error():
     with pytest.raises(InputError, match="cannot parse move") as exc:
         parse_move("L " + "x" * 100_000)
     assert len(str(exc.value)) < 400
+    with pytest.raises(InputError, match="Serre exponent") as exc:
+        parse_move("serre 1..1 ^" + "9" * 4000)
+    assert len(str(exc.value)) < 400
+    with pytest.raises(InputError) as exc:
+        parse_move("serre 1..1 ^65")
+    assert str(exc.value) == "Serre exponent 65 is above the cap |n| <= 64"
 
 
 def test_gram_is_computed_once_per_collection(monkeypatch):
@@ -416,30 +422,53 @@ def _count_checks(monkeypatch):
     return checked
 
 
-def test_search_checks_only_the_collections_it_keeps(monkeypatch):
+def test_search_checks_its_ends_and_replays_its_word(monkeypatch):
     from sodatlas.catalog.scripts import link_script
 
     start = link_script("I-9-8").side1
     beyond = _layers(start, 4)[3][0]
     checked = _count_checks(monkeypatch)
     assert search_path(start, beyond, max_depth=3) is None
-    # The goal first, then one check per new key of a layer that is not
-    # the last: the start's 8 children and the goal's 8.
-    assert canonical_form(checked[0]) == canonical_form(beyond)
-    assert len(checked) == 17
-    assert len({canonical_form(c) for c in checked}) == 17
-    # A goal in the depth-3 layer is checked before anything is expanded.
+    # The goal first, then the start, and no child in between.
+    assert [canonical_form(c) for c in checked] == [canonical_form(beyond), canonical_form(start)]
+    # A word found is replayed from the start: one check per move.
     goal = _depth3_layer(start)[70]
     checked.clear()
-    assert render_script(search_path(start, goal, max_depth=3)) == "L 4; R 2; L 2"
-    assert canonical_form(checked[0]) == canonical_form(goal)
-    assert len(checked) == len({canonical_form(c) for c in checked})
-    # From a start that fails its own check, most keys fail theirs; a key
-    # that failed is not checked again when a later move reaches it.
+    word = search_path(start, goal, max_depth=3)
+    assert render_script(word) == "L 4; R 2; L 2"
+    replayed, current = [], start
+    for move in word:
+        current = mutation._rewrite(current, move)
+        replayed.append(canonical_form(current))
+    assert [canonical_form(c) for c in checked] == [
+        canonical_form(goal), canonical_form(start), *replayed
+    ]
+    # A start that fails its check has no word, even toward one of its
+    # children; the checks stop at the start.
+    swapped = Collection(start.surface, (start.blocks[1], start.blocks[0]) + start.blocks[2:])
+    child = mutation._rewrite(start, Move("L", index=2))
+    assert not check_collection(swapped).ok
     checked.clear()
-    assert search_path(Collection(start.surface, start.blocks[::-1]), beyond, max_depth=4) is None
-    assert sum(not check_collection(c).ok for c in checked) == 5
-    assert len(checked) == len({canonical_form(c) for c in checked}) == 6
+    assert search_path(swapped, child, max_depth=3) is None
+    assert [canonical_form(c) for c in checked] == [canonical_form(child), canonical_form(swapped)]
+
+
+def test_search_replay_names_a_move_that_breaks(monkeypatch):
+    from sodatlas.catalog.scripts import link_script
+
+    start = link_script("I-9-8").side1
+    goal = _depth3_layer(start)[70]
+    calls = []
+
+    def check(collection):  # passes the two ends, fails all the replay makes
+        calls.append(collection)
+        if len(calls) <= 2:
+            return check_collection(collection)
+        return mutation.CheckReport(False, (), ("broken",))
+
+    monkeypatch.setattr(mutation, "check_collection", check)
+    with pytest.raises(VerificationError, match=r"after move L 4: broken"):
+        search_path(start, goal, max_depth=3)
 
 
 def test_search_stops_at_a_goal_that_fails_its_check(monkeypatch):

@@ -5,6 +5,11 @@ layer by layer in candidate-move order, and returns the first word that
 reaches the goal, which is the least shortest word in that order.  The
 two-sided search must return the same word, or None where the oracle does,
 on seeded samples of goals at depth 1 to 4.
+
+The two-sided search checks only its ends and the word it returns.  That
+rests on a theorem, kept here as a property: every child a search move
+makes from a collection that passes check_collection passes it too, on
+random walks from both sides of every catalog case.
 """
 
 import random
@@ -12,9 +17,11 @@ from collections import deque
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sodatlas import mutation
-from sodatlas.catalog.scripts import link_script
+from sodatlas.catalog.scripts import catalog_ids, link_script
 from sodatlas.ktheory import class_from_vector
 from sodatlas.lattice import SurfaceModel
 from sodatlas.mutation import (
@@ -27,6 +34,7 @@ from sodatlas.mutation import (
     search_path,
 )
 
+from test_fuzz import FUZZ
 from test_mutation import _layers
 
 # The cases of the move-search benchmark, plus two with an opaque block.
@@ -120,3 +128,21 @@ def test_goal_on_another_surface():
     # The same class vectors, hence the same key, on a surface moves never reach.
     assert canonical_form(moved) == canonical_form(goal)
     assert _words(start, moved, 3) == (None, None)
+
+
+@FUZZ
+@given(
+    st.sampled_from(catalog_ids()),
+    st.sampled_from(("side1", "side2")),
+    st.lists(st.integers(0, 10**6), max_size=4),
+)
+def test_search_moves_keep_a_checked_collection_valid(case, side, word):
+    """A walk of up to four search moves, each drawn among the children of
+    the collection it leaves; every child along the way passes its check."""
+    current = getattr(link_script(case), side)
+    assert check_collection(current).ok
+    for pick in word:
+        children = [child for _, child in mutation._children(current)]
+        for child in children:
+            assert check_collection(child).ok, mutation._render_blocks(child)
+        current = children[pick % len(children)]
