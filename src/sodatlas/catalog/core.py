@@ -2,9 +2,13 @@
 classification of links between them.
 
 Everything is modeled on the Picard/K lattice: a fibre space is a surface
-model plus a base kind (and the fibration 0-class when the base is a
-curve), and the standard decomposition is built from enumerated r-classes
-or, in the opaque cases, from the span orthogonal under `ktheory.euler_form`.
+model plus a base kind (and the fibration 0-class F when the base is a
+curve).  A standard decomposition is front blocks followed by the base's
+own decomposition pulled back: (O) over a point, (O(-F), O) over a
+rational curve.  In the birationally rich degrees the front is the
+degree's explicit blocks, built from enumerated r-classes with F taken out
+of the rulings; otherwise it is one opaque block, the span orthogonal to
+the tail under `ktheory.euler_form`.
 """
 
 from __future__ import annotations
@@ -74,6 +78,8 @@ class MoriFibreSpace:
 
 
 def birationally_rich(mfs: MoriFibreSpace) -> bool:
+    """Whether the degree is one of the paper's birationally rich degrees,
+    where the standard decomposition has explicit blocks only."""
     if mfs.base == "Point":
         return mfs.degree in RICH_POINT_DEGREES
     if mfs.base == "RationalCurve":
@@ -106,10 +112,10 @@ def opaque_block_for(
     collection_blocks: list[Block],
     position: int,
     surface: SurfaceModel,
-    expected_dim: int | None = None,
+    expected_dim: int,
 ) -> Block:
     """Solve for the opaque block at `position` from the surrounding
-    blocks' orthogonality constraints."""
+    blocks' orthogonality constraints; its rank must be `expected_dim`."""
     left_of: list[KClass] = []
     right_of: list[KClass] = []
     for q, blk in enumerate(collection_blocks):
@@ -120,7 +126,7 @@ def opaque_block_for(
         elif q > position:
             right_of.extend(o.cls for o in blk.objects)
     span = orthogonal_span(surface, left_of, right_of)
-    if expected_dim is not None and len(span) != expected_dim:
+    if len(span) != expected_dim:
         raise InputError(
             f"opaque span has rank {len(span)}, expected {expected_dim}"
         )
@@ -147,89 +153,50 @@ def _line_block(surface: SurfaceModel, divisors) -> Block:
 
 
 def standard_sod(mfs: MoriFibreSpace) -> Collection:
-    """The standard decomposition: explicit blocks in the rich cases, an
-    opaque orthogonal span in front of the base pieces otherwise."""
+    """The standard decomposition: front blocks, then the base's own
+    decomposition pulled back, (O) over a point and (O(-F), O) over a
+    rational curve.  The front is the degree's explicit blocks when the
+    fibre space is birationally rich, else one opaque orthogonal span."""
     s = mfs.surface
     deg = mfs.degree
-    o_block = block_of_classes([structure_class(s)], labels=["O"])
     if mfs.base == "Curve":
         raise UnsupportedRangeError(
             "surface models cover rational surfaces only; no model over a positive-genus curve"
         )
-    if mfs.base == "Point":
-        if deg == 9:
-            h = s.basis_class("H")
-            return Collection(
-                s,
-                (
-                    _line_block(s, [2 * h]),
-                    _line_block(s, [h]),
-                    o_block,
-                ),
-            )
-        if deg == 8:
-            zero = _sorted_classes(s.enumerate_r_classes(0))
-            if len(zero) != 2:
-                raise InputError("a rank-one degree-8 surface over a point carries two rulings")
-            h1, h2 = zero
-            return Collection(
-                s,
-                (_line_block(s, [h1 + h2]), _line_block(s, [h1, h2]), o_block),
-            )
-        if deg == 6:
-            ones = _sorted_classes(s.enumerate_r_classes(1))
-            zeros = _sorted_classes(s.enumerate_r_classes(0))
-            return Collection(
-                s,
-                (_line_block(s, ones), _line_block(s, zeros), o_block),
-            )
-        if deg == 5:
-            zeros = _sorted_classes(s.enumerate_r_classes(0))
-            e_block = block_of_classes([e_bundle_class(s)], labels=["E"])
-            return Collection(s, (e_block, _line_block(s, zeros), o_block))
-        # degrees 4..1: opaque orthogonal complement of the structure sheaf
-        opaque = opaque_block_for([None, o_block], 0, s, s.picard_rank + 1)
-        return Collection(s, (opaque, o_block))
-    # rational curve base
     f = mfs.fibration_class
-    fib_block = _line_block(s, [f])
-    if deg == 8:
-        if s.base == "P2" or s.num_blown:
+    o_block = block_of_classes([structure_class(s)], labels=["O"])
+    tail = [o_block] if f is None else [_line_block(s, [f]), o_block]
+    if not birationally_rich(mfs):
+        front = [opaque_block_for([None, *tail], 0, s, s.picard_rank + 2 - len(tail))]
+    elif deg == 9:
+        h = s.basis_class("H")
+        front = [_line_block(s, [2 * h]), _line_block(s, [h])]
+    elif deg == 8:
+        if f is None:
+            rulings = _sorted_classes(s.enumerate_r_classes(0))
+            if len(rulings) != 2:
+                raise InputError("a rank-one degree-8 surface over a point carries two rulings")
+        elif s.base == "P2" or s.num_blown:
             raise InputError("a degree-8 conic bundle is a ruled surface without blown points")
-        if f == s.basis_class("h"):
-            section = s.basis_class("s")
+        elif f == s.basis_class("h"):
+            rulings = [s.basis_class("s"), f]
         elif s.hirzebruch_d == 0 and f == s.basis_class("s"):
-            section = s.basis_class("h")
+            rulings = [s.basis_class("h"), f]
         else:
             raise InputError("fibration class is not a ruling of this surface")
-        return Collection(
-            s,
-            (
-                _line_block(s, [section + f]),
-                _line_block(s, [section]),
-                fib_block,
-                o_block,
-            ),
-        )
-    if deg == 6:
-        ones = _sorted_classes(s.enumerate_r_classes(1))
+        r1, r2 = rulings
+        front = [_line_block(s, [r1 + r2]), _line_block(s, [r for r in rulings if r != f])]
+    else:  # degrees 6 and 5
         zeros = [z for z in _sorted_classes(s.enumerate_r_classes(0)) if z != f]
-        if len(zeros) != 2:
-            raise InputError("fibration class is not one of the three rulings")
-        return Collection(
-            s,
-            (_line_block(s, ones), _line_block(s, zeros), fib_block, o_block),
-        )
-    if deg == 5:
-        zeros = [z for z in _sorted_classes(s.enumerate_r_classes(0)) if z != f]
-        if len(zeros) != 4:
-            raise InputError("fibration class is not one of the five rulings")
-        e_block = block_of_classes([e_bundle_class(s)], labels=["E"])
-        return Collection(s, (e_block, _line_block(s, zeros), fib_block, o_block))
-    # degree <= 4: opaque relative kernel, the pulled-back base pieces, O
-    tail = [fib_block, o_block]
-    opaque = opaque_block_for([None] + tail, 0, s, s.picard_rank)
-    return Collection(s, (opaque, fib_block, o_block))
+        want, name = (2, "three") if deg == 6 else (4, "five")
+        if f is not None and len(zeros) != want:
+            raise InputError(f"fibration class is not one of the {name} rulings")
+        if deg == 6:
+            first = _line_block(s, _sorted_classes(s.enumerate_r_classes(1)))
+        else:
+            first = block_of_classes([e_bundle_class(s)], labels=["E"])
+        front = [first, _line_block(s, zeros)]
+    return Collection(s, (*front, *tail))
 
 
 def e_bundle_class(surface: SurfaceModel) -> KClass:

@@ -186,18 +186,18 @@ def _cmd_verify_link(args) -> int:
     ids = catalog_ids() if args.all else (args.id,)
     if not args.all and args.id not in catalog_ids():
         raise InputError(f"unknown catalog id {_quote(args.id)}")
-    failures = []
+    failure = None
     for case in ids:
         cert = verify_link(case)
         for record in cert["steps"]:
             print(json.dumps({"case": case, **record}, sort_keys=True))
-            if not record["ok"] and not failures:
-                failures.append((case, record["step"], record["move"]))
+            if not record["ok"] and failure is None:
+                failure = (case, record["step"], record["move"])
         print(json.dumps({"case": case, "verdict": cert["verdict"]}, sort_keys=True))
-        if cert["verdict"] != VERDICT_OK and not any(f[0] == case for f in failures):
-            failures.append((case, 0, "final comparison"))
-    if failures:
-        case, step, move = failures[0]
+        if cert["verdict"] != VERDICT_OK and failure is None:
+            failure = (case, 0, "final comparison")
+    if failure is not None:
+        case, step, move = failure
         print(f"FAIL {case}: step {step} ({move})", file=sys.stderr)
         return 1
     return 0

@@ -213,10 +213,6 @@ class SurfaceModel:
         n = self.num_blown
         found: set[DivisorClass] = set()
         if self.hirzebruch_d is None:
-            if n == 0:
-                if c % 3 == 0 and (c // 3) ** 2 == r:
-                    found.add(self.divisor((c // 3,)))
-                return found
             # D = a.H - sum b_i E_i with sum b = 3a - c, sum b^2 = a^2 - r
             for a in _quad_solutions(9 - n, -6 * c, c * c + n * r):
                 s, q = 3 * a - c, a * a - r
@@ -226,16 +222,6 @@ class SurfaceModel:
                     found.add(self.divisor((a,) + tuple(-x for x in b)))
             return found
         d = self.hirzebruch_d
-        if n == 0:
-            # 2b^2 - c.b + r = 0 factors as (2b - r)(b - 1)
-            for beta in {1} | ({r // 2} if r % 2 == 0 else set()):
-                num = (d - 2) * beta + c
-                if num % 2 == 0:
-                    alpha = num // 2
-                    cand = self.divisor((beta, alpha))
-                    if self.r_class_value(cand) == r:
-                        found.add(cand)
-            return found
         # D = alpha.h + beta.s - sum b_i E_i
         for beta in _quad_solutions(8 - n, -4 * c, 4 * r):
             a2 = 4

@@ -153,12 +153,12 @@ def collection_of_classes(surface: SurfaceModel, blocks, full: bool = True) -> C
 @dataclass(frozen=True)
 class CheckReport:
     ok: bool
-    gram: tuple[tuple[int, ...], ...]
     violations: tuple[str, ...]
 
 
 def check_collection(collection: Collection) -> CheckReport:
-    """Gram matrix plus the list of violated constraints.
+    """Whether the collection is legal, and the list of violated
+    constraints, read off `collection.gram`.
 
     Constraints: chi(x, y) = 0 whenever x sits in a strictly later block
     than y; inside a non-opaque block the objects are exceptional and
@@ -190,7 +190,7 @@ def check_collection(collection: Collection) -> CheckReport:
             violations.append(f"full collection has {n} objects, lattice needs {expected}")
         elif not _lattice_basis(collection, gram, not violations):
             violations.append("classes do not form a basis of the K-lattice")
-    return CheckReport(ok=not violations, gram=gram, violations=tuple(violations))
+    return CheckReport(ok=not violations, violations=tuple(violations))
 
 
 def _lattice_basis(collection: Collection, gram, semi_orthogonal: bool) -> bool:

@@ -71,7 +71,7 @@ def _oracle_check(collection):
 
 def _same_check(collection):
     report = check_collection(collection)
-    assert (report.ok, report.violations, report.gram) == _oracle_check(collection)
+    assert (report.ok, report.violations, collection.gram) == _oracle_check(collection)
     return report.ok
 
 

@@ -14,6 +14,7 @@ from sodatlas import cli, selftest
 from sodatlas.catalog.scripts import catalog_ids
 from sodatlas.errors import InputError, VerificationError
 from sodatlas.lattice import MAX_BLOWN_POINTS, SurfaceModel
+from sodatlas.mutation import VERDICT_FAIL, VERDICT_OK
 
 SRC = str(Path(sodatlas.__file__).resolve().parents[1])
 CLI = "import sys; from sodatlas import cli; sys.exit(cli.main(sys.argv[1:]))"
@@ -151,6 +152,35 @@ def test_verify_link_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "verify-link", "--id", "II-2-1-2")
     _, second, _ = run(capsys, "verify-link", "--id", "II-2-1-2")
     assert first == second
+
+@pytest.mark.parametrize("first", ["step", "verdict"])
+def test_verify_link_names_the_first_failure(capsys, monkeypatch, first):
+    """Exit 1 names the first failing record of the first failing case, or
+    step 0 when only its verdict fails; stdout keeps every record."""
+    ids = catalog_ids()
+    step_case, verdict_case = (ids[1], ids[3]) if first == "step" else (ids[3], ids[1])
+
+    def fake(case):
+        oks = [True, True, True]
+        if case == step_case:
+            oks = [True, False, False]
+        steps = [{"step": i + 1, "move": f"L {i + 1}", "ok": ok} for i, ok in enumerate(oks)]
+        ok = case not in (step_case, verdict_case)
+        return {"case": case, "steps": steps, "verdict": VERDICT_OK if ok else VERDICT_FAIL}
+
+    monkeypatch.setattr(cli, "verify_link", fake)
+    code, out, err = run(capsys, "verify-link", "--all")
+    assert code == 1
+    want = []
+    for case in ids:
+        cert = fake(case)
+        want += [json.dumps({"case": case, **r}, sort_keys=True) for r in cert["steps"]]
+        want.append(json.dumps({"case": case, "verdict": cert["verdict"]}, sort_keys=True))
+    assert out.splitlines() == want
+    if first == "step":
+        assert err == f"FAIL {step_case}: step 2 (L 2)\n"
+    else:
+        assert err == f"FAIL {verdict_case}: step 0 (final comparison)\n"
 
 def test_verify_link_needs_exactly_one_selector(capsys):
     with pytest.raises(SystemExit) as exc:

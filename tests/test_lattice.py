@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sodatlas.errors import InputError, UnsupportedRangeError
-from sodatlas.lattice import DivisorClass, SurfaceModel
+from sodatlas.lattice import (
+    DivisorClass,
+    SurfaceModel,
+    _quad_solutions,
+    _vectors_with_sum_and_square,
+)
 
 P2 = SurfaceModel("P2")
 F0 = SurfaceModel("F0")
@@ -134,6 +139,71 @@ def test_root_system_counts_below_supported_degree():
     assert len(SurfaceModel("P2", (7,))._r_classes_any_degree(-1)) == 56
     assert len(SurfaceModel("P2", (8,))._r_classes_any_degree(-1)) == 240
     assert len(DEGREE_MODELS[5]._r_classes_any_degree(-2)) == 20
+
+
+def _old_r_classes(surface, r):
+    """The enumeration with its former closed forms for unblown bases."""
+    if surface.degree < 1:
+        raise UnsupportedRangeError(
+            f"enumeration needs degree >= 1, surface {surface.describe()} has {surface.degree}"
+        )
+    c = 2 + r
+    n = surface.num_blown
+    found = set()
+    if surface.hirzebruch_d is None:
+        if n == 0:
+            if c % 3 == 0 and (c // 3) ** 2 == r:
+                found.add(surface.divisor((c // 3,)))
+            return found
+        for a in _quad_solutions(9 - n, -6 * c, c * c + n * r):
+            s, q = 3 * a - c, a * a - r
+            if q < 0:
+                continue
+            for b in _vectors_with_sum_and_square(n, s, q):
+                found.add(surface.divisor((a,) + tuple(-x for x in b)))
+        return found
+    d = surface.hirzebruch_d
+    if n == 0:
+        # 2b^2 - c.b + r = 0 factors as (2b - r)(b - 1)
+        for beta in {1} | ({r // 2} if r % 2 == 0 else set()):
+            num = (d - 2) * beta + c
+            if num % 2 == 0:
+                alpha = num // 2
+                cand = surface.divisor((beta, alpha))
+                if surface.r_class_value(cand) == r:
+                    found.add(cand)
+        return found
+    for beta in _quad_solutions(8 - n, -4 * c, 4 * r):
+        a1 = -(4 * (d - 2) * beta + 2 * n * beta + 4 * c)
+        a0 = ((d - 2) ** 2 + n * d) * beta ** 2 + 2 * (d - 2) * c * beta + c * c + n * r
+        for alpha in _quad_solutions(4, a1, a0):
+            s = 2 * alpha - (d - 2) * beta - c
+            q = 2 * alpha * beta - d * beta ** 2 - r
+            if q < 0:
+                continue
+            for b in _vectors_with_sum_and_square(n, s, q):
+                found.add(surface.divisor((beta, alpha) + tuple(-x for x in b)))
+    return found
+
+
+def _enumeration(enumerate_, surface, r):
+    try:
+        return enumerate_(surface, r)
+    except UnsupportedRangeError as exc:
+        return str(exc)
+
+
+def test_enumeration_matches_the_closed_forms_for_unblown_bases():
+    """One window serves every base: with no blown points it closes on the
+    classes the former closed forms gave, on P2 with 0-8 points and F0-F11
+    with 0-7 points."""
+    surfaces = [SurfaceModel("P2", (n,) if n else ()) for n in range(9)]
+    surfaces += [SurfaceModel(f"F{d}", (n,) if n else ()) for d in range(12) for n in range(8)]
+    pairs = [(s, r) for s in surfaces for r in (-2, -1, 0, 1)]
+    assert len(pairs) == 420
+    for s, r in pairs:
+        want = _enumeration(_old_r_classes, s, r)
+        assert _enumeration(SurfaceModel._r_classes_any_degree, s, r) == want, (s.describe(), r)
 
 
 def test_enumeration_gate():

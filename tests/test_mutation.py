@@ -71,17 +71,18 @@ def three_block_deg6():
 
 
 def test_check_collection_beilinson():
-    rep = check_collection(beilinson())
+    coll = beilinson()
+    rep = check_collection(coll)
     assert rep.ok
-    assert rep.gram == ((1, 3, 6), (0, 1, 3), (0, 0, 1))
+    assert coll.gram == ((1, 3, 6), (0, 1, 3), (0, 0, 1))
     assert rep.violations == ()
 
 
 def test_check_collection_three_block():
-    rep = check_collection(three_block_deg6())
-    assert rep.ok
+    coll = three_block_deg6()
+    assert check_collection(coll).ok
     for i in range(6):
-        assert rep.gram[i][i] == 1
+        assert coll.gram[i][i] == 1
 
 
 def test_check_collection_flags_violations():
@@ -157,7 +158,8 @@ def test_gram_is_computed_once_per_collection(monkeypatch):
     calls = []
     monkeypatch.setattr(mutation, "euler_row", lambda x: calls.append(x) or euler_row(x))
     assert coll.gram == expected
-    assert check_collection(coll).gram == expected
+    assert check_collection(coll).ok
+    assert coll.gram == expected
     assert subcategory_serre_matrix(coll, (1, 2))
     assert calls == list(classes)  # one row per listed class, once
 
@@ -464,7 +466,7 @@ def test_search_replay_names_a_move_that_breaks(monkeypatch):
         calls.append(collection)
         if len(calls) <= 2:
             return check_collection(collection)
-        return mutation.CheckReport(False, (), ("broken",))
+        return mutation.CheckReport(False, ("broken",))
 
     monkeypatch.setattr(mutation, "check_collection", check)
     with pytest.raises(VerificationError, match=r"after move L 4: broken"):
