@@ -3,12 +3,14 @@ classification of links between them.
 
 Everything is modeled on the Picard/K lattice: a fibre space is a surface
 model plus a base kind (and the fibration 0-class F when the base is a
-curve).  A standard decomposition is front blocks followed by the base's
-own decomposition pulled back: (O) over a point, (O(-F), O) over a
-rational curve.  In the birationally rich degrees the front is the
-degree's explicit blocks, built from enumerated r-classes with F taken out
-of the rulings; otherwise it is one opaque block, the span orthogonal to
-the tail under `ktheory.euler_form`.
+curve).  `MoriFibreSpace` alone decides which fibre spaces exist; over a
+point, degree 8 needs two 0-classes, as F0, F2 and F4 have.  A standard
+decomposition is front blocks followed by the base's own decomposition
+pulled back: (O) over a point, (O(-F), O) over a rational curve.  In the
+birationally rich degrees the front is the degree's explicit blocks, built
+from enumerated r-classes with F taken out of the rulings; otherwise it is
+one opaque block, the span orthogonal to the tail under
+`ktheory.euler_form`.
 """
 
 from __future__ import annotations
@@ -45,16 +47,23 @@ class MoriFibreSpace:
     fibration_class: DivisorClass | None = None
 
     def __post_init__(self) -> None:
-        deg = self.surface.degree
+        s, deg, f = self.surface, self.surface.degree, self.fibration_class
         if self.base == "Point":
-            if self.fibration_class is not None:
+            if f is not None:
                 raise InputError("a point base takes no fibration class")
             if deg == 7 or not 1 <= deg <= 9:
                 raise InputError(f"no rank-one fibre space of degree {deg} over a point")
+            if deg == 8 and len(s.enumerate_r_classes(0)) != 2:
+                raise InputError("a rank-one degree-8 surface over a point carries two rulings")
         elif self.base == "RationalCurve":
             if deg == 7 or deg > 8:
                 raise InputError(f"no conic bundle of degree {deg} over a rational curve")
             self._check_fibration()
+            if deg == 8:
+                if s.base == "P2" or s.num_blown:
+                    raise InputError("a degree-8 conic bundle is a ruled surface without blown points")
+                if f not in (s.basis_class("h"), s.basis_class("s")):  # s is a 0-class on F0 only
+                    raise InputError("fibration class is not a ruling of this surface")
         elif self.base == "Curve":
             if self.genus < 1:
                 raise InputError("a Curve base needs genus >= 1; use RationalCurve for genus 0")
@@ -63,6 +72,9 @@ class MoriFibreSpace:
                     f"degree {deg} conic bundle impossible over a genus-{self.genus} curve"
                 )
             self._check_fibration()
+            raise UnsupportedRangeError(
+                "surface models cover rational surfaces only; no model over a positive-genus curve"
+            )
         else:
             raise InputError(f"unknown base kind {self.base!r}")
 
@@ -79,12 +91,9 @@ class MoriFibreSpace:
 
 def birationally_rich(mfs: MoriFibreSpace) -> bool:
     """Whether the degree is one of the paper's birationally rich degrees,
-    where the standard decomposition has explicit blocks only."""
-    if mfs.base == "Point":
-        return mfs.degree in RICH_POINT_DEGREES
-    if mfs.base == "RationalCurve":
-        return mfs.degree in RICH_CURVE_DEGREES
-    return False
+    where the standard decomposition has explicit blocks only; every
+    fibre space is over a point or a rational curve."""
+    return mfs.degree in (RICH_POINT_DEGREES if mfs.base == "Point" else RICH_CURVE_DEGREES)
 
 
 # -- orthogonality spans ----------------------------------------------------
@@ -156,13 +165,10 @@ def standard_sod(mfs: MoriFibreSpace) -> Collection:
     """The standard decomposition: front blocks, then the base's own
     decomposition pulled back, (O) over a point and (O(-F), O) over a
     rational curve.  The front is the degree's explicit blocks when the
-    fibre space is birationally rich, else one opaque orthogonal span."""
+    fibre space is birationally rich, else one opaque orthogonal span.
+    `MoriFibreSpace` has already checked the rulings, so this only builds."""
     s = mfs.surface
     deg = mfs.degree
-    if mfs.base == "Curve":
-        raise UnsupportedRangeError(
-            "surface models cover rational surfaces only; no model over a positive-genus curve"
-        )
     f = mfs.fibration_class
     o_block = block_of_classes([structure_class(s)], labels=["O"])
     tail = [o_block] if f is None else [_line_block(s, [f]), o_block]
@@ -174,23 +180,12 @@ def standard_sod(mfs: MoriFibreSpace) -> Collection:
     elif deg == 8:
         if f is None:
             rulings = _sorted_classes(s.enumerate_r_classes(0))
-            if len(rulings) != 2:
-                raise InputError("a rank-one degree-8 surface over a point carries two rulings")
-        elif s.base == "P2" or s.num_blown:
-            raise InputError("a degree-8 conic bundle is a ruled surface without blown points")
-        elif f == s.basis_class("h"):
-            rulings = [s.basis_class("s"), f]
-        elif s.hirzebruch_d == 0 and f == s.basis_class("s"):
-            rulings = [s.basis_class("h"), f]
         else:
-            raise InputError("fibration class is not a ruling of this surface")
+            rulings = [s.basis_class("s") if f == s.basis_class("h") else s.basis_class("h"), f]
         r1, r2 = rulings
         front = [_line_block(s, [r1 + r2]), _line_block(s, [r for r in rulings if r != f])]
     else:  # degrees 6 and 5
         zeros = [z for z in _sorted_classes(s.enumerate_r_classes(0)) if z != f]
-        want, name = (2, "three") if deg == 6 else (4, "five")
-        if f is not None and len(zeros) != want:
-            raise InputError(f"fibration class is not one of the {name} rulings")
         if deg == 6:
             first = _line_block(s, _sorted_classes(s.enumerate_r_classes(1)))
         else:

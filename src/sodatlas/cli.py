@@ -79,16 +79,13 @@ def _surface_of(stanza: dict[str, list[str]], path: str) -> SurfaceModel:
     return parse_surface_stanza(stanza)
 
 
-def _fibre_space(surface: SurfaceModel, stanza: dict[str, list[str]], path: str) -> MoriFibreSpace:
+def _fibre_space(surface: SurfaceModel, stanza: dict[str, list[str]]) -> MoriFibreSpace:
     base = stanza_single(stanza, "over", "Point")
     genus = _parse_int(stanza_single(stanza, "genus", "0"))
     fib = None
     if "fibre" in stanza:
         fib = parse_divisor(surface, stanza_single(stanza, "fibre"), _names_of(surface, stanza))
-    try:
-        return MoriFibreSpace(surface, base, genus=genus, fibration_class=fib)
-    except TypeError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return MoriFibreSpace(surface, base, genus=genus, fibration_class=fib)
 
 
 def _load_action(path: str, surface: SurfaceModel | None):
@@ -154,7 +151,7 @@ def _cmd_classes(args) -> int:
 def _cmd_sod(args) -> int:
     stanza = _single_stanza(args.surface, "surface")
     surface = _surface_of(stanza, args.surface)
-    space = _fibre_space(surface, stanza, args.surface)
+    space = _fibre_space(surface, stanza)
     coll = standard_sod(space)
     print(f"surface: {surface.describe()}")
     print(f"over: {space.base}")
@@ -243,7 +240,7 @@ def _contraction_terminal(stanza: dict[str, list[str]], path: str):
     residual = parse_surface_spec(stanza_single(stanza, "model"))
     sub = dict(stanza)
     sub["over"] = [terminal]
-    return _fibre_space(residual, sub, path)
+    return _fibre_space(residual, sub)
 
 
 def _cmd_atoms(args) -> int:

@@ -468,7 +468,7 @@ def permutation_basis_certificate(surface: SurfaceModel, atoms, action: GroupAct
         raise ActionError("atom payload is not a Z-basis of the K-group")
     # the trivial group's only element, the identity, stands in for a generator
     permutations = _image_table(
-        action.generators or action.elements,
+        action.generators or (_identity(surface.picard_rank),),
         classes,
         lambda c: c.vector,
         sigma_kclass,

@@ -135,11 +135,10 @@ def test_standard_sod_checks_out_everywhere():
 
 def test_standard_sod_positive_genus_unsupported():
     s = SurfaceModel("P2", (9,))
-    mfs = MoriFibreSpace(
-        s, "Curve", genus=1, fibration_class=s.basis_class("H") - s.basis_class("E1")
-    )
     with pytest.raises(UnsupportedRangeError):
-        standard_sod(mfs)
+        MoriFibreSpace(
+            s, "Curve", genus=1, fibration_class=s.basis_class("H") - s.basis_class("E1")
+        )
 
 
 def test_e_bundle_class_facts():

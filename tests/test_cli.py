@@ -87,6 +87,37 @@ def test_sod_rejects_two_sections(tmp_path, capsys):
     assert code == 2 and "exactly one" in err
 
 
+# Degree-8 models and a positive-genus base at the edge of what is a fibre
+# space: the constructor refuses them with these texts, or they build.
+SOD_EDGES = [
+    ("model = P2[1]\nover = Point", 2,
+     "error: a rank-one degree-8 surface over a point carries two rulings\n", None),
+    ("model = F2\nover = Point", 0, "",
+     ["block 1: O(-s - 2h)", "block 2: O(-h), O(-s - h)", "block 3: O"]),
+    ("model = F3\nover = Point", 2,
+     "error: a rank-one degree-8 surface over a point carries two rulings\n", None),
+    ("model = P2[1]\nover = RationalCurve\nfibre = H - E1", 2,
+     "error: a degree-8 conic bundle is a ruled surface without blown points\n", None),
+    ("model = F2\nover = RationalCurve\nfibre = s + h", 2,
+     "error: fibration class is not a ruling of this surface\n", None),
+    ("model = F0\nover = RationalCurve\nfibre = s", 0, "",
+     ["block 1: O(-s - h)", "block 2: O(-h)", "block 3: O(-s)", "block 4: O"]),
+    ("model = P2[9]\nover = Curve\ngenus = 1\nfibre = H - E1", 2,
+     "error: surface models cover rational surfaces only; "
+     "no model over a positive-genus curve\n", None),
+]
+
+
+@pytest.mark.parametrize("lines, want_code, want_err, want_blocks", SOD_EDGES)
+def test_sod_at_the_edge_of_the_fibre_spaces(tmp_path, capsys, lines, want_code, want_err, want_blocks):
+    f = tmp_path / "surface.cfg"
+    f.write_text(f"[surface]\n{lines}\n")
+    code, out, err = run(capsys, "sod", "--surface", str(f))
+    assert (code, err) == (want_code, want_err)
+    blocks = [line for line in out.splitlines() if line.startswith("block ")]
+    assert blocks == (want_blocks or [])
+
+
 # -- mutate ----------------------------------------------------------------------
 
 def _beilinson_files(tmp_path):
@@ -312,6 +343,17 @@ def test_atoms_rejects_wrong_residual_model(tmp_path, capsys):
         "--surface", str(surface), "--action", str(action), "--contraction", str(contraction),
     )
     assert code == 2 and "leaves" in err
+
+def test_atoms_reports_a_terminal_that_is_no_fibre_space_first(tmp_path, capsys):
+    # the terminal is checked as the contraction file is read, before the orbits
+    surface, action, contraction = _atom_files(tmp_path)
+    contraction.write_text("[contraction]\norbits = [5]\nterminal = Point\nmodel = P2[1]\n")
+    code, out, err = run(
+        capsys, "atoms",
+        "--surface", str(surface), "--action", str(action), "--contraction", str(contraction),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: a rank-one degree-8 surface over a point carries two rulings\n"
 
 
 # -- invariant -------------------------------------------------------------------

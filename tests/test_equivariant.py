@@ -398,8 +398,11 @@ def test_atom_difference_of_two_presentations_is_permutation_only():
 def test_atoms_reject_an_orbit_the_action_splits():
     both = SurfaceModel("P2", (1, 1))
     swap = group_action(both, [perm_matrix(3, {1: 2, 2: 1})])
-    with pytest.raises(ActionError):
-        atom_multiset(both, swap, [0, MoriFibreSpace(SurfaceModel("P2", (1,)), "Point")])
+    with pytest.raises(ActionError, match="not stable"):
+        atom_multiset(both, swap, [0, K_NEF])
+    # one blown orbit of two points, which the trivial group splits in two
+    with pytest.raises(ActionError, match="splits under the action"):
+        atom_multiset(BL2, group_action(BL2, []), [0, K_NEF])
 
 
 def test_atoms_reject_a_wrong_minimal_model():

@@ -1,12 +1,14 @@
 """Grammar fuzzing of the CLI file formats.
 
 Random `[collection]` files with `mutate` scripts, random `[profile]` files,
-random `[surface]` files for `sod` and random `[group]` files for `group` go
-through `cli.main`.  Whatever the input, the exit code is 0, 1 or 2 and
+random `[surface]` files for `sod`, random `[group]` files for `group`,
+random surface, action and `[contraction]` files for `atoms` and random
+`[steps]` files for `invariant` go through `cli.main`.  Whatever the input, the exit code is 0, 1 or 2 and
 nothing raises: malformed input must end in `error:`, not in a traceback,
 and standard output is flushed before the `error:` line is written.  The
 surface and group files reach extreme orbit counts, deep nesting and
-overlong integers.  The examples are derandomized, so every run sees the
+overlong integers; so do the contraction's orbit lists and the steps'
+orbit sizes.  The examples are derandomized, so every run sees the
 same inputs.
 """
 
@@ -349,3 +351,139 @@ def test_group_never_raises(workdir, group):
     path = workdir / "group.cfg"
     path.write_text(group)
     assert _run(["group", "--action", str(path)]) in (0, 1, 2)
+
+
+# -- surface, action and [contraction] files for atoms ---------------------------------
+
+# Models with generators that act on them, the degree-8 models F0, F1, F2 and
+# P2[1] among them, and the residual models a contraction may name.
+_ATOM_MODELS = (
+    ("P2[2]", ["[[1,0,0],[0,0,1],[0,1,0]]"]),
+    ("P2[1,1]", ["[[1,0,0],[0,0,1],[0,1,0]]"]),
+    ("P2[3]", _GENERATORS[1:3]),
+    ("F0", ["[[0,1],[1,0]]"]),
+    ("F0[1]", []),
+    ("F1", []),
+    ("F2", []),
+    ("P2[1]", []),
+    ("P2", []),
+)
+_RESIDUALS = ("P2", "P2[1]", "P2[2]", "P2[3]", "F0", "F1", "F2", "F0[1]")
+_ORBIT_INDICES = st.one_of(
+    st.lists(st.integers(-1, 3), max_size=3).map(_orbit_list),
+    st.sampled_from(["[0, 0]", "[1, 0, 1]", f"[{10**40}]", "[" + "9" * 4300 + "]"]),
+    st.just("[" + ", ".join(["0"] * 5000) + "]"),
+    _HUGE_INT.map(lambda x: f"[{x}]"),
+    _DEEP.map(lambda n: "[" * n + "0" + "]" * n),
+    st.sampled_from(["[0", "x", "[1.5]", "[True]", "(0,)", "{0: 1}", ""]),
+)
+
+
+# Legal inputs, so that some draws get as far as the atoms: a model, a
+# generator acting on it, and a contraction of it to a fibre space or K-nef.
+_LEGAL_ATOMS = (
+    ("P2[2]", "[[1,0,0],[0,0,1],[0,1,0]]", "orbits = [0]\nterminal = Point\nmodel = P2"),
+    ("P2[3]", _GENERATORS[1], "terminal = Point\nmodel = P2[3]"),
+    ("P2[1,1]", "[[1,0,0],[0,0,1],[0,1,0]]", "terminal = K-nef"),
+    ("F0[1]", None, "orbits = [0]\nterminal = RationalCurve\nmodel = F0\nfibre = s"),
+    ("F2", None, "terminal = Point\nmodel = F2"),
+    ("F1", None, "terminal = RationalCurve\nmodel = F1\nfibre = h"),
+)
+
+
+def _legal_atom_files(legal):
+    model, gen, contraction = legal
+    return (
+        f"[surface]\nmodel = {model}\n",
+        "[group]\n" + (f"gen = {gen}\n" if gen else ""),
+        f"[contraction]\n{contraction}\n",
+    )
+
+
+@st.composite
+def _random_atom_files(draw):
+    model, gens = draw(st.sampled_from(_ATOM_MODELS))
+    if draw(st.integers(0, 5)) == 5:
+        model = draw(_spec())
+    gen_lines = [f"gen = {g}" for g in gens if draw(st.booleans())]
+    gen_lines += [f"gen = {g}" for g in draw(st.lists(_generator(), max_size=1))]
+    lines = ["[contraction]"]
+    if draw(st.booleans()):
+        lines.append(f"orbits = {draw(_ORBIT_INDICES)}")
+    terminal = draw(st.sampled_from(["Point", "RationalCurve", "Curve", "K-nef", "Plane", ""]))
+    if draw(st.integers(0, 9)):
+        lines.append(f"terminal = {terminal}")
+    if draw(st.integers(0, 9)):
+        residual = draw(st.one_of(st.sampled_from(_RESIDUALS), _spec()))
+        lines.append(f"model = {residual}")
+    if draw(st.booleans()):
+        fibre = draw(st.sampled_from(["h", "s", "s + h", "H - E1", "E1", "F"]))
+        lines.append(f"fibre = {fibre}")
+    if draw(st.integers(0, 3)) == 3:
+        lines.append(f"genus = {draw(st.one_of(st.integers(-1, 3).map(str), _HUGE_INT))}")
+    return (
+        f"[surface]\nmodel = {model}\n",
+        "\n".join(["[group]"] + gen_lines) + "\n",
+        "\n".join(lines) + "\n",
+    )
+
+
+def atom_files():
+    return st.one_of(st.sampled_from(_LEGAL_ATOMS).map(_legal_atom_files), _random_atom_files())
+
+
+@FUZZ
+@given(files=atom_files())
+@example(files=("[surface]\nmodel = P2[1]\n", "[group]\n", "[contraction]\nterminal = Point\nmodel = P2[1]\n"))
+@example(
+    files=(
+        "[surface]\nmodel = P2[9]\n",
+        "[group]\n",
+        "[contraction]\nterminal = Curve\nmodel = P2[9]\ngenus = 1\nfibre = H - E1\n",
+    )
+)
+@example(
+    files=(
+        "[surface]\nmodel = P2[1,1]\n",
+        "[group]\ngen = [[1,0,0],[0,0,1],[0,1,0]]\n",
+        "[contraction]\norbits = [0, 0]\nterminal = Point\nmodel = F3\n",
+    )
+)
+def test_atoms_never_raises(workdir, files):
+    paths = [workdir / name for name in ("surface.cfg", "action.cfg", "contraction.cfg")]
+    for path, text in zip(paths, files):
+        path.write_text(text)
+    argv = ["atoms"]
+    for flag, path in zip(("--surface", "--action", "--contraction"), paths):
+        argv += [flag, str(path)]
+    assert _run(argv) in (0, 1, 2)
+
+
+# -- [steps] files for invariant ---------------------------------------------------------
+
+_STEP_SIZE = st.one_of(
+    st.integers(1, 6).map(str),
+    st.sampled_from(["0", "-1", "-7", str(10**40), "1.5", "x", "", "1e3", "True", "0x10"]),
+    _HUGE_INT,
+    st.sampled_from(["[1]", "[[2]]", "(3,)"]),
+    _DEEP.map(lambda n: "[" * n + "1" + "]" * n),
+    _DEEP.map(lambda n: "-" * n + "1"),
+)
+
+
+@st.composite
+def steps_files(draw):
+    header = draw(st.sampled_from(["[steps]", "[steps]", "[steps]", "[other]"]))
+    keys = st.sampled_from(["blowup", "blowdown", "blowup", "blowdown", "flip"])
+    lines = [f"{key} = {size}" for key, size in draw(st.lists(st.tuples(keys, _STEP_SIZE), max_size=6))]
+    return "\n".join([header] + lines) + "\n"
+
+
+@FUZZ
+@given(steps=steps_files())
+@example(steps="[steps]\nblowup = " + "9" * 4300 + "\nblowdown = " + "9" * 4300 + "\n")
+@example(steps="[steps]\nblowup = " + "[" * 100_000 + "1" + "]" * 100_000 + "\n")
+def test_invariant_never_raises(workdir, steps):
+    path = workdir / "steps.cfg"
+    path.write_text(steps)
+    assert _run(["invariant", "--steps", str(path)]) in (0, 1, 2)

@@ -4,7 +4,9 @@
 and `lattice`.  Each class transport and the Euler form is defined in one
 module, beside its type, and every import of it names that module; the
 symmetry layer takes only `MoriFibreSpace` and `standard_sod` from the
-catalog.  The exact kernels of `intlinalg` stay off the Fraction route.
+catalog.  `MoriFibreSpace` alone decides which fibre spaces exist, and
+`standard_sod` only builds.  The exact kernels of `intlinalg` stay off the
+Fraction route.
 """
 
 import ast
@@ -97,6 +99,30 @@ def test_the_symmetry_layer_takes_two_names_from_the_catalog():
         if target.partition(".")[0] == "catalog"
     ]
     assert taken == [("catalog.core", ["MoriFibreSpace", "standard_sod"])]
+
+
+# The checks that once ran inside `standard_sod`, by their texts.
+FIBRE_SPACE_CHECKS = (
+    "a rank-one degree-8 surface over a point carries two rulings",
+    "a degree-8 conic bundle is a ruled surface without blown points",
+    "fibration class is not a ruling of this surface",
+    "surface models cover rational surfaces only; no model over a positive-genus curve",
+)
+
+
+def test_only_the_fibre_space_decides_which_fibre_spaces_exist():
+    core = {node.name: node for node in MODULES["catalog.core"].body if hasattr(node, "name")}
+    assert not any(isinstance(node, ast.Raise) for node in ast.walk(core["standard_sod"]))
+    home = {id(node) for node in ast.walk(core["MoriFibreSpace"])}
+    for text in FIBRE_SPACE_CHECKS:
+        found = [
+            node
+            for tree in MODULES.values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value
+        ]
+        assert found, text
+        assert all(id(node) in home for node in found), text
 
 
 FRACTION_FREE = ("mat_inverse_integer", "mat_mul", "mat_vec")

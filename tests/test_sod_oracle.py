@@ -1,22 +1,26 @@
-"""standard_sod against the case-by-case construction it replaced.
+"""Construct-then-build against the construction that checked the rulings
+while it built.
 
-The old construction is kept here as the oracle: it writes the rich
-degrees once per base, the point base first and then the rational curve.
-The library states them once, as front blocks followed by the base's own
-decomposition pulled back.  Both must give the same blocks, labels, class
-vectors and opaque flags, or raise the same error with the same text, on a
-family of fibre spaces: the plane with 0 to 8 points and F0 to F4 with 0
-to 7 points, in every ordered split into orbits, over a point, a rational
-curve and a genus-1 curve, with no fibration class, each 0-class and each
-basis class.  In the rich degrees
-the family adds conic bundles whose fibration class is not a 0-class,
-built past the constructor's check, so that the checks on the rulings
-raise too.
+The oracle keeps the fibre-space checks as they were split: the
+constructor checked the base, the degree and the fibration 0-class, and
+`standard_sod` checked the rulings and the curve base while it built.  The
+library checks all of it in `MoriFibreSpace`, and `standard_sod` only
+builds.  Both must give the same blocks, labels, class vectors and opaque
+flags, or raise the same error with the same text, on a family of
+candidates: the plane with 0 to 9 points and F0 to F4 with 0 to 7 points,
+in every ordered split into orbits, over a point, a rational curve and a
+genus-1 curve, with no fibration class, each 0-class and each basis class.
+Below degree 3, where the 0-classes are not enumerated, the plane's
+candidates take H - E1 instead, so that conic bundles of degree 2, 1 and 0
+build and the genus-1 curve reaches its range check.
 """
 
 from functools import lru_cache
+from types import SimpleNamespace
 
 from sodatlas.catalog.core import (
+    RICH_CURVE_DEGREES,
+    RICH_POINT_DEGREES,
     MoriFibreSpace,
     _line_block,
     _sorted_classes,
@@ -30,65 +34,88 @@ from sodatlas.ktheory import structure_class
 from sodatlas.lattice import SurfaceModel
 from sodatlas.mutation import Collection, block_of_classes
 
+MOVED = {
+    "a rank-one degree-8 surface over a point carries two rulings",
+    "a degree-8 conic bundle is a ruled surface without blown points",
+    "fibration class is not a ruling of this surface",
+    "surface models cover rational surfaces only; no model over a positive-genus curve",
+}
+
+
+def _old_construct(s, base, genus, f):
+    """The constructor's checks before the rulings moved into it."""
+    deg = s.degree
+    if base == "Point":
+        if f is not None:
+            raise InputError("a point base takes no fibration class")
+        if deg == 7 or not 1 <= deg <= 9:
+            raise InputError(f"no rank-one fibre space of degree {deg} over a point")
+    elif base in ("RationalCurve", "Curve"):
+        if base == "RationalCurve" and (deg == 7 or deg > 8):
+            raise InputError(f"no conic bundle of degree {deg} over a rational curve")
+        if base == "Curve":
+            if genus < 1:
+                raise InputError("a Curve base needs genus >= 1; use RationalCurve for genus 0")
+            if deg > 8 * (1 - genus):
+                raise InputError(f"degree {deg} conic bundle impossible over a genus-{genus} curve")
+        if f is None:
+            raise InputError("a conic bundle needs its fibration 0-class")
+        if s.r_class_value(f) != 0:
+            raise InputError("fibration class must be a 0-class")
+    else:
+        raise InputError(f"unknown base kind {base!r}")
+    return SimpleNamespace(surface=s, base=base, genus=genus, fibration_class=f, degree=deg)
+
+
+def _old_birationally_rich(mfs):
+    if mfs.base == "Point":
+        return mfs.degree in RICH_POINT_DEGREES
+    if mfs.base == "RationalCurve":
+        return mfs.degree in RICH_CURVE_DEGREES
+    return False
+
 
 def _old_standard_sod(mfs):
     s = mfs.surface
     deg = mfs.degree
-    o_block = block_of_classes([structure_class(s)], labels=["O"])
     if mfs.base == "Curve":
         raise UnsupportedRangeError(
             "surface models cover rational surfaces only; no model over a positive-genus curve"
         )
-    if mfs.base == "Point":
-        if deg == 9:
-            h = s.basis_class("H")
-            return Collection(s, (_line_block(s, [2 * h]), _line_block(s, [h]), o_block))
-        if deg == 8:
-            zero = _sorted_classes(s.enumerate_r_classes(0))
-            if len(zero) != 2:
-                raise InputError("a rank-one degree-8 surface over a point carries two rulings")
-            h1, h2 = zero
-            return Collection(s, (_line_block(s, [h1 + h2]), _line_block(s, [h1, h2]), o_block))
-        if deg == 6:
-            ones = _sorted_classes(s.enumerate_r_classes(1))
-            zeros = _sorted_classes(s.enumerate_r_classes(0))
-            return Collection(s, (_line_block(s, ones), _line_block(s, zeros), o_block))
-        if deg == 5:
-            zeros = _sorted_classes(s.enumerate_r_classes(0))
-            e_block = block_of_classes([e_bundle_class(s)], labels=["E"])
-            return Collection(s, (e_block, _line_block(s, zeros), o_block))
-        opaque = opaque_block_for([None, o_block], 0, s, s.picard_rank + 1)
-        return Collection(s, (opaque, o_block))
     f = mfs.fibration_class
-    fib_block = _line_block(s, [f])
-    if deg == 8:
-        if s.base == "P2" or s.num_blown:
+    o_block = block_of_classes([structure_class(s)], labels=["O"])
+    tail = [o_block] if f is None else [_line_block(s, [f]), o_block]
+    if not _old_birationally_rich(mfs):
+        front = [opaque_block_for([None, *tail], 0, s, s.picard_rank + 2 - len(tail))]
+    elif deg == 9:
+        h = s.basis_class("H")
+        front = [_line_block(s, [2 * h]), _line_block(s, [h])]
+    elif deg == 8:
+        if f is None:
+            rulings = _sorted_classes(s.enumerate_r_classes(0))
+            if len(rulings) != 2:
+                raise InputError("a rank-one degree-8 surface over a point carries two rulings")
+        elif s.base == "P2" or s.num_blown:
             raise InputError("a degree-8 conic bundle is a ruled surface without blown points")
-        if f == s.basis_class("h"):
-            section = s.basis_class("s")
+        elif f == s.basis_class("h"):
+            rulings = [s.basis_class("s"), f]
         elif s.hirzebruch_d == 0 and f == s.basis_class("s"):
-            section = s.basis_class("h")
+            rulings = [s.basis_class("h"), f]
         else:
             raise InputError("fibration class is not a ruling of this surface")
-        return Collection(
-            s,
-            (_line_block(s, [section + f]), _line_block(s, [section]), fib_block, o_block),
-        )
-    if deg == 6:
-        ones = _sorted_classes(s.enumerate_r_classes(1))
+        r1, r2 = rulings
+        front = [_line_block(s, [r1 + r2]), _line_block(s, [r for r in rulings if r != f])]
+    else:  # degrees 6 and 5
         zeros = [z for z in _sorted_classes(s.enumerate_r_classes(0)) if z != f]
-        if len(zeros) != 2:
-            raise InputError("fibration class is not one of the three rulings")
-        return Collection(s, (_line_block(s, ones), _line_block(s, zeros), fib_block, o_block))
-    if deg == 5:
-        zeros = [z for z in _sorted_classes(s.enumerate_r_classes(0)) if z != f]
-        if len(zeros) != 4:
-            raise InputError("fibration class is not one of the five rulings")
-        e_block = block_of_classes([e_bundle_class(s)], labels=["E"])
-        return Collection(s, (e_block, _line_block(s, zeros), fib_block, o_block))
-    tail = [fib_block, o_block]
-    opaque = opaque_block_for([None] + tail, 0, s, s.picard_rank)
-    return Collection(s, (opaque, fib_block, o_block))
+        want, name = (2, "three") if deg == 6 else (4, "five")
+        if f is not None and len(zeros) != want:
+            raise InputError(f"fibration class is not one of the {name} rulings")
+        if deg == 6:
+            first = _line_block(s, _sorted_classes(s.enumerate_r_classes(1)))
+        else:
+            first = block_of_classes([e_bundle_class(s)], labels=["E"])
+        front = [first, _line_block(s, zeros)]
+    return Collection(s, (*front, *tail))
 
 
 def _orbit_splits(n):
@@ -102,7 +129,7 @@ def _orbit_splits(n):
 
 
 def _surfaces():
-    for n in range(9):
+    for n in range(10):
         for orbits in _orbit_splits(n):
             yield SurfaceModel("P2", orbits)
     for d in range(5):
@@ -116,73 +143,65 @@ def _fibrations(s):
     try:
         yield from _sorted_classes(s.enumerate_r_classes(0))
     except UnsupportedRangeError:
-        pass
+        if s.base == "P2":
+            yield s.basis_class("H") - s.basis_class("E1")
     for label in s.labels:
         yield s.basis_class(label)
 
 
-def _unchecked_bundle(s, f):
-    """A conic bundle over a rational curve, built without the constructor's
-    checks on its fibration class."""
-    mfs = object.__new__(MoriFibreSpace)
-    values = {"surface": s, "base": "RationalCurve", "genus": 0, "fibration_class": f}
-    for name, value in values.items():
-        object.__setattr__(mfs, name, value)
-    return mfs
-
-
-@lru_cache(maxsize=None)
-def _outcomes():
-    """Each fibre space of the family with the old and the new outcome."""
-    out = []
-    for s in _surfaces():
-        for base in ("Point", "RationalCurve", "Curve"):
-            for f in _fibrations(s) if base != "Point" else [None]:
-                try:
-                    mfs = MoriFibreSpace(s, base, genus=int(base == "Curve"), fibration_class=f)
-                except InputError:
-                    if base != "RationalCurve" or f is None:
-                        continue
-                    mfs = _unchecked_bundle(s, f)
-                    if not birationally_rich(mfs):
-                        continue
-                out.append((mfs, _outcome(_old_standard_sod, mfs), _outcome(standard_sod, mfs)))
-    return out
-
-
-def _outcome(build, mfs):
+def _outcome(construct, build, *args):
+    """("construct" or "build", error type and text) for a failure, or
+    ("ok", blocks) with each block's opaque flag, labels and vectors."""
+    try:
+        mfs = construct(*args)
+    except SodatlasError as exc:
+        return "construct", (type(exc).__name__, str(exc))
     try:
         coll = build(mfs)
     except SodatlasError as exc:
-        return type(exc).__name__, str(exc)
-    return tuple(
+        return "build", (type(exc).__name__, str(exc))
+    return "ok", tuple(
         (b.opaque, tuple(o.label for o in b.objects), tuple(o.cls.vector for o in b.objects))
         for b in coll.blocks
     )
 
 
-def _raised(outcome):
-    return isinstance(outcome[0], str)
+@lru_cache(maxsize=None)
+def _outcomes():
+    """Each candidate of the family with the old and the new outcome."""
+    out = []
+    for s in _surfaces():
+        for base in ("Point", "RationalCurve", "Curve"):
+            for f in _fibrations(s):
+                args = (s, base, int(base == "Curve"), f)
+                old = _outcome(_old_construct, _old_standard_sod, *args)
+                new = _outcome(MoriFibreSpace, standard_sod, *args)
+                out.append((args, old, new))
+    return out
 
 
-def test_standard_sod_matches_the_case_by_case_construction():
+def test_construct_then_build_matches_the_split_checks():
     outcomes = _outcomes()
-    for mfs, old, new in outcomes:
-        assert new == old, (mfs.surface.describe(), mfs.base, mfs.fibration_class)
-    built = [old for _, old, _ in outcomes if not _raised(old)]
-    texts = {old[1] for _, old, _ in outcomes if _raised(old)}
-    assert (len(outcomes), len(built)) == (5592, 5420)
-    assert {mfs.degree for mfs, _, _ in outcomes} == {1, 2, 3, 4, 5, 6, 8, 9}
-    assert texts == {
-        "a rank-one degree-8 surface over a point carries two rulings",
-        "a degree-8 conic bundle is a ruled surface without blown points",
-        "fibration class is not a ruling of this surface",
-        "fibration class is not one of the three rulings",
-        "fibration class is not one of the five rulings",
+    for args, old, new in outcomes:
+        s, base, _, f = args
+        assert new[1] == old[1], (s.describe(), base, f)
+    stages = [(old[0], new[0]) for _, old, new in outcomes]
+    assert len(outcomes) == 45369
+    assert stages.count(("ok", "ok")) == 5868
+    assert stages.count(("build", "construct")) == 262
+    assert stages.count(("construct", "construct")) == 45369 - 5868 - 262
+    # standard_sod raises nothing on a fibre space the constructor accepts
+    assert all(new[0] != "build" for _, _, new in outcomes)
+    # the old build stage raised exactly the four texts that moved
+    assert {old[1][1] for _, old, _ in outcomes if old[0] == "build"} == MOVED
+    assert {args[0].degree for args, old, _ in outcomes if old[0] == "ok"} == {
+        0, 1, 2, 3, 4, 5, 6, 8, 9,
     }
 
 
 def test_rich_exactly_when_no_block_is_opaque():
-    for mfs, _, new in _outcomes():
-        if not _raised(new):
-            assert birationally_rich(mfs) == (not any(opaque for opaque, _, _ in new))
+    for args, _, new in _outcomes():
+        if new[0] == "ok":
+            s, base, genus, f = args
+            mfs = MoriFibreSpace(s, base, genus=genus, fibration_class=f)
+            assert birationally_rich(mfs) == (not any(opaque for opaque, _, _ in new[1]))
