@@ -65,7 +65,7 @@ class KClass:
 
 
 def class_from_vector(surface: SurfaceModel, vec) -> KClass:
-    vec = tuple(int(x) for x in vec)
+    vec = tuple(map(int, vec))
     if len(vec) != surface.picard_rank + 2:
         raise InputError("K-class vector has the wrong length")
     return KClass(surface, vec[0], DivisorClass(vec[1:-1]), vec[-1])
@@ -135,15 +135,12 @@ def euler_pairing(a: KClass, b: KClass) -> int:
 
 def twist(a: KClass, l: DivisorClass) -> KClass:
     surface = a.surface
+    r = a.rank
     ll = surface.intersect(l, l)
     lk = surface.intersect(l, surface.canonical)
     c1_l = surface.intersect(a.c1, l)
-    return KClass(
-        surface,
-        a.rank,
-        a.c1 + a.rank * l,
-        a.chi + c1_l + a.rank * ((ll - lk) // 2),
-    )
+    c1 = DivisorClass(tuple([x + r * y for x, y in zip(a.c1.coords, l.coords)]))
+    return KClass(surface, r, c1, a.chi + c1_l + r * ((ll - lk) // 2))
 
 
 def serre_class(a: KClass) -> KClass:

@@ -17,6 +17,11 @@ compare these class vectors, never coordinates in a span basis.
 serre_power_match tries the exponents 0, 1, -1, 2, -2, ... in that order,
 so +N comes before -N.
 
+A collection's Euler pairings are one flat row-major tuple, computed once
+per collection (`Collection._pairings`).  The move step indexes it for
+mutation coefficients and orthogonality tests, and check_collection slices
+each object's row once, rendering labels only for a violation.
+
 apply_move is a move and its check; run_script checks every collection it
 produces.  search_path searches from the start and from the goal at once.
 It checks its two ends and rewrites candidates unchecked: mutation, the
@@ -90,7 +95,7 @@ class Block:
         if self.opaque:
             span = intlinalg.hermite_row_form([list(o.cls.vector) for o in self.objects])
             return ("opaque", self.size, span)
-        return ("plain", tuple(sorted(_sign_normal(o.cls.vector) for o in self.objects)))
+        return ("plain", tuple(sorted([_sign_normal(o.cls.vector) for o in self.objects])))
 
 
 @dataclass(frozen=True)
@@ -121,8 +126,7 @@ class Collection:
         Each entry is the dot product of euler_row(x) with y.vector."""
         classes = self.classes()
         vectors = [y.vector for y in classes]
-        rows = [euler_row(x) for x in classes]
-        return tuple(sum(map(mul, row, v)) for row in rows for v in vectors)
+        return tuple([sum(map(mul, row, v)) for row in map(euler_row, classes) for v in vectors])
 
     @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
@@ -158,37 +162,53 @@ class CheckReport:
 
 def check_collection(collection: Collection) -> CheckReport:
     """Whether the collection is legal, and the list of violated
-    constraints, read off `collection.gram`.
+    constraints, in row-major order of the Gram matrix.
 
     Constraints: chi(x, y) = 0 whenever x sits in a strictly later block
     than y; inside a non-opaque block the objects are exceptional and
     pairwise orthogonal; intra-opaque entries are unconstrained.  A full
     collection must also have as many objects as the K-group rank and a
     unimodular Gram matrix.
+
+    Each object's row of the flat pairings is sliced once, up to the end
+    of its block: the part before its block must vanish, and inside a
+    non-opaque block the rest is a unit row.  Labels are rendered only for
+    a row that breaks a constraint.
     """
-    objs = collection.objects()
-    n = len(objs)
-    gram = collection.gram
+    flat = collection._pairings
+    n = isqrt(len(flat))
     violations: list[str] = []
-    owner = [bi for bi, b in enumerate(collection.blocks) for _ in b.objects]
-    for i in range(n):
-        for j in range(n):
-            bi, bj = owner[i], owner[j]
-            if bi > bj and gram[i][j] != 0:
-                violations.append(
-                    f"chi({objs[i].label}, {objs[j].label}) = {gram[i][j]}, expected 0"
-                )
-            elif bi == bj and not collection.blocks[bi].opaque:
-                want = 1 if i == j else 0
-                if gram[i][j] != want:
+    objs = None
+    at = 0
+    for b in collection.blocks:
+        end = at + len(b.objects)
+        for i in range(at, end):
+            row = flat[i * n : i * n + end]
+            if b.opaque:
+                if not any(row[:at]):
+                    continue
+            elif row[i] == 1 and not any(row[:i]) and not any(row[i + 1 :]):
+                continue
+            if objs is None:
+                objs = collection.objects()
+            for j in range(at):
+                if row[j]:
                     violations.append(
-                        f"chi({objs[i].label}, {objs[j].label}) = {gram[i][j]}, expected {want}"
+                        f"chi({objs[i].label}, {objs[j].label}) = {row[j]}, expected 0"
                     )
+            if not b.opaque:
+                for j in range(at, end):
+                    want = 1 if i == j else 0
+                    if row[j] != want:
+                        violations.append(
+                            f"chi({objs[i].label}, {objs[j].label}) = {row[j]}, expected {want}"
+                        )
+        at = end
     if collection.full:
         expected = collection.surface.picard_rank + 2
         if n != expected:
             violations.append(f"full collection has {n} objects, lattice needs {expected}")
-        elif not _lattice_basis(collection, gram, not violations):
+        elif not _lattice_basis(collection, collection.gram, not violations):
             violations.append("classes do not form a basis of the K-lattice")
     return CheckReport(ok=not violations, violations=tuple(violations))
 
@@ -303,31 +323,36 @@ def _mutate_block(collection: Collection, index: int, through: int, side: str) -
     """Block `index` mutated through block `through` (both 1-based) to the
     given side, one object e_1, e_2, ... of `through` at a time.
 
-    Each coefficient is read off the parent's Gram matrix: a class F loses
+    Each coefficient is read off the parent's flat pairings, indexed with a
+    (row, column) stride that transposes them on the right: a class F loses
     g_k e_k with g_k = chi(e_k, F) - sum_{l<k} g_l chi(e_k, e_l) on the
     left and g_k = chi(F, e_k) - sum_{l<k} g_l chi(e_l, e_k) on the right.
     That is the one-class mutation F -> F - chi(e, F) e (on the right,
     chi(F, e)) applied once per e_k, whatever `through` is; when
     `through` is orthogonal, as the post-move check requires, it is the
     one-shot projection."""
-    moving, mid = collection.blocks[index - 1], collection.blocks[through - 1]
+    blocks = collection.blocks
+    moving, mid = blocks[index - 1], blocks[through - 1]
     if mid.opaque:
         raise MoveError("cannot mutate through an opaque block")
     flat = collection._pairings
     n = isqrt(len(flat))
-    if side == "Left":
-        def chi(e, f):
-            return flat[e * n + f]
-    else:
-        def chi(e, f):
-            return flat[f * n + e]
-    es = _flat_span(collection, through, through)
+    sizes = [len(b.objects) for b in blocks]
+    f_at, e_at = sum(sizes[: index - 1]), sum(sizes[: through - 1])
+    # chi(e, f) on the left and chi(f, e) on the right sit at e * rs + f * cs.
+    rs, cs = (n, 1) if side == "Left" else (1, n)
+    e_rows = [e * rs for e in range(e_at, e_at + len(mid.objects))]
+    e_cols = [e * cs for e in range(e_at, e_at + len(mid.objects))]
     e_vectors = [o.cls.vector for o in mid.objects]
     new = []
-    for f, obj in zip(_flat_span(collection, index, index), moving.objects):
+    for f, obj in enumerate(moving.objects, f_at):
+        f_col = f * cs
         coeffs: list[int] = []
-        for e in es:
-            coeffs.append(chi(e, f) - sum(g * chi(e, l) for g, l in zip(coeffs, es)))
+        for row in e_rows:
+            g = flat[row + f_col]
+            for c, col in zip(coeffs, e_cols):
+                g -= c * flat[row + col]
+            coeffs.append(g)
         vec = obj.cls.vector
         for g, e_vec in zip(coeffs, e_vectors):
             if g:
@@ -338,15 +363,18 @@ def _mutate_block(collection: Collection, index: int, through: int, side: str) -
 
 def _flat_span(collection: Collection, a: int, b: int) -> range:
     """Positions in the object list of blocks a..b (1-based, inclusive)."""
-    start = sum(blk.size for blk in collection.blocks[: a - 1])
-    return range(start, start + sum(blk.size for blk in collection.blocks[a - 1 : b]))
+    start = sum(len(blk.objects) for blk in collection.blocks[: a - 1])
+    return range(start, start + sum(len(blk.objects) for blk in collection.blocks[a - 1 : b]))
 
 
 def _orthogonal_blocks(collection: Collection, index: int) -> bool:
-    """Blocks index, index+1 (1-based): both off-diagonal Gram sub-blocks vanish."""
-    gram = collection.gram
-    first, second = (_flat_span(collection, i, i) for i in (index, index + 1))
-    return all(gram[i][j] == 0 and gram[j][i] == 0 for i in first for j in second)
+    """Blocks index, index+1 (1-based): both off-diagonal Gram sub-blocks
+    vanish, read off the flat pairings."""
+    flat = collection._pairings
+    n = isqrt(len(flat))
+    first = _flat_span(collection, index, index)
+    second = range(first.stop, first.stop + len(collection.blocks[index].objects))
+    return all(flat[i * n + j] == 0 and flat[j * n + i] == 0 for i in first for j in second)
 
 
 def subcategory_serre_matrix(collection: Collection, rng: tuple[int, int] | None = None):
@@ -476,7 +504,7 @@ def _rewrite(collection: Collection, move: Move) -> Collection:
             at += size
     else:
         raise InputError(f"unknown move kind {k!r}")
-    return replace(collection, blocks=tuple(blocks))
+    return Collection(collection.surface, tuple(blocks), collection.full)
 
 
 # -- comparison -----------------------------------------------------------

@@ -2,14 +2,16 @@
 
 Random `[collection]` files with `mutate` scripts, random `[profile]` files,
 random `[surface]` files for `sod`, random `[group]` files for `group`,
-random surface, action and `[contraction]` files for `atoms` and random
-`[steps]` files for `invariant` go through `cli.main`.  Whatever the input, the exit code is 0, 1 or 2 and
-nothing raises: malformed input must end in `error:`, not in a traceback,
-and standard output is flushed before the `error:` line is written.  The
-surface and group files reach extreme orbit counts, deep nesting and
-overlong integers; so do the contraction's orbit lists and the steps'
-orbit sizes.  The examples are derandomized, so every run sees the
-same inputs.
+random surface, action and `[contraction]` files for `atoms`, random
+`[steps]` files for `invariant`, and random arguments for `classes` and
+`verify-link` go through `cli.main`.  Whatever the input, the exit code is
+0, 1 or 2 and nothing raises: malformed input must end in `error:`, not in
+a traceback, and standard output is flushed before the `error:` line is
+written.  Arguments argparse rejects end its usage text with one `error:`
+line and exit 2.  The surface and group files reach extreme orbit counts,
+deep nesting and overlong integers; so do the contraction's orbit lists,
+the steps' orbit sizes and the `classes` and `verify-link` arguments.  The
+examples are derandomized, so every run sees the same inputs.
 """
 
 import contextlib
@@ -487,3 +489,121 @@ def test_invariant_never_raises(workdir, steps):
     path = workdir / "steps.cfg"
     path.write_text(steps)
     assert _run(["invariant", "--steps", str(path)]) in (0, 1, 2)
+
+
+# -- classes and verify-link arguments ------------------------------------------------
+
+
+def _run_args(argv) -> int:
+    """`_run(argv)`, or exit code 2 for arguments argparse rejects: then
+    standard output stays empty and standard error is its usage text with
+    one `error:` line at the end."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            cli._build_parser().parse_args(argv)
+    except SystemExit as exc:
+        lines = err.getvalue().splitlines()
+        assert exc.code == 2 and out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+        assert lines[0].startswith("usage: sodatlas")
+        assert [": error: " in line for line in lines].count(True) == 1
+        assert ": error: " in lines[-1]
+        return 2
+    return _run(argv)
+
+
+def _flag_mix(values):
+    """Flags with values drawn from `values`, with a flag doubled, missing
+    its value, written as `--flag=value`, or followed by junk."""
+
+    @st.composite
+    def mix(draw):
+        flags = draw(st.permutations(list(values)))
+        argv = []
+        for flag in flags:
+            if draw(st.integers(0, 9)) == 0:
+                continue
+            value = draw(values[flag])
+            kind = draw(st.integers(0, 9))
+            if kind == 0:
+                argv.append(flag)
+            elif kind == 1:
+                argv.append(f"{flag}={value}")
+            else:
+                argv += [flag, value]
+            if kind == 2:
+                argv += [flag, draw(values[flag])]
+        if draw(st.integers(0, 9)) == 0:
+            junk = draw(st.sampled_from(["--bogus", "x", "-", "--"]))
+            argv.insert(draw(st.integers(0, len(argv))), junk)
+        return argv
+
+    return mix()
+
+
+def _int_text(low, high):
+    """Mostly integers in low..high, else overlong or malformed ones."""
+    small = st.integers(low, high).map(str)
+    return st.one_of(
+        small,
+        small,
+        _HUGE_INT,
+        st.sampled_from(["", " 5", "1.5", "x", "0x5", "1e3", "+3", "-0", "٣"]),
+        st.sampled_from([str(10**40), "-" + str(10**40)]),
+    )
+
+
+# --degree also takes surface specs, which are not integers.
+_CLASSES_ARGS = {"--degree": st.one_of(_int_text(0, 10), _spec()), "--r": _int_text(-3, 2)}
+# Legal arguments, so that some draws enumerate classes.
+_LEGAL_CLASSES = st.builds(
+    lambda degree, r: ["--degree", str(degree), "--r", str(r)],
+    st.integers(1, 9),
+    st.integers(-2, 1),
+)
+
+
+@FUZZ
+@given(argv=st.one_of(_LEGAL_CLASSES, _flag_mix(_CLASSES_ARGS)))
+@example(argv=["--degree", "9" * 4300, "--r", "0"])
+@example(argv=["--degree", "1", "--r", "-" + "9" * 4300])
+@example(argv=["--degree", "P2[3]", "--r", "-1"])
+def test_classes_never_raises(argv):
+    assert _run_args(["classes"] + argv) in (0, 1, 2)
+
+
+# `--all` alone replays every case (about 0.1 s); tests/test_cli.py runs it,
+# so here it comes only with a second selector, which argparse rejects.
+_IDS = ("I-9-8", "II-2-1-2", "REF-5-6", "II-curve-gen-1", "I-4-3")
+_ID_TEXT = st.one_of(
+    st.sampled_from(_IDS),
+    st.sampled_from(_IDS).map(lambda case: case.lower()),
+    st.sampled_from(_IDS).map(lambda case: case + " "),
+    st.sampled_from(["", " ", "I-9-9", "-1", "--all", "*", "I-9-8; II-2-1-2", "é", "\x00"]),
+    st.text(max_size=20),
+    st.sampled_from([5000, 100_000]).map(lambda n: "I" * n),
+    _HUGE_INT,
+)
+
+
+@st.composite
+def verify_link_args(draw):
+    if draw(st.integers(0, 2)) == 0:
+        return ["--id", draw(st.sampled_from(_IDS))]
+    argv = draw(_flag_mix({"--id": _ID_TEXT}))
+    if draw(st.integers(0, 3)) == 3:
+        argv.insert(draw(st.integers(0, len(argv))), "--all")
+    if argv.count("--all") == len(argv):
+        argv.append("--id")
+    return argv
+
+
+@FUZZ
+@given(argv=verify_link_args())
+@example(argv=["--id", "I" * 100_000])
+@example(argv=["--id", ""])
+@example(argv=["--id", "I-9-8", "--all"])
+@example(argv=["--id", "I-9-8"])
+def test_verify_link_never_raises(argv):
+    assert _run_args(["verify-link"] + argv) in (0, 1, 2)

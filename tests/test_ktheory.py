@@ -147,6 +147,36 @@ def test_twist_action_and_serre_inverse():
     assert kt.serre_class(kt.structure_class(P2)).vector == (1, -3, 1)
 
 
+def _oracle_twist(a, l):
+    """The twist in DivisorClass arithmetic, as the library wrote it before
+    it built c1 from the coordinates."""
+    surface = a.surface
+    ll = surface.intersect(l, l)
+    lk = surface.intersect(l, surface.canonical)
+    c1_l = surface.intersect(a.c1, l)
+    chi = a.chi + c1_l + a.rank * ((ll - lk) // 2)
+    return kt.KClass(surface, a.rank, a.c1 + a.rank * l, chi)
+
+
+def test_twist_matches_the_divisor_arithmetic():
+    rng = random.Random(20261019)
+    for surface in (P2, BL1, X5, F2B, SurfaceModel("F0"), SurfaceModel("F1", (1, 2))):
+        n = surface.picard_rank
+        for _ in range(200):
+            a = kt.KClass(
+                surface,
+                rng.choice([0, 0, rng.randint(-3, 3)]),
+                surface.divisor([rng.randint(-4, 4) for _ in range(n)]),
+                rng.randint(-5, 5),
+            )
+            l = rng.choice([surface.canonical, -surface.canonical])
+            if rng.random() < 0.5:
+                l = surface.divisor([rng.randint(-3, 3) for _ in range(n)])
+            assert kt.twist(a, l) == _oracle_twist(a, l)
+    with pytest.raises(InputError, match="length mismatch"):
+        kt.twist(kt.structure_class(P2), BL1.canonical)
+
+
 def test_mutation_oracles():
     # right mutation through a torsion sheet realizes the elementary triangle
     surface = BL1
