@@ -38,7 +38,7 @@ from .equivariant import (
     orbits,
 )
 from .errors import InputError, SodatlasError, UnsupportedRangeError
-from .lattice import SurfaceModel, _quote
+from .lattice import _QUOTE_LIMIT, SurfaceModel, _quote
 from .mutation import VERDICT_OK, _render_blocks, parse_script, run_script
 from .textio import (
     _names_of,
@@ -132,7 +132,9 @@ def _print_gram(gram) -> None:
 def _cmd_classes(args) -> int:
     degree = args.degree
     if not 1 <= degree <= 9:
-        raise InputError(f"degree {degree} is outside 1..9")
+        shown = str(degree)
+        shown = shown if len(shown) <= _QUOTE_LIMIT else _quote(shown)
+        raise InputError(f"degree {shown} is outside 1..9")
     if degree == 9:
         surface = SurfaceModel("P2", ())
     elif degree == 8:

@@ -140,8 +140,9 @@ def mat_inverse_integer(a) -> Matrix:
         pivot_row = m[k]
         p = pivot_row[k]
         for i in range(n):
-            if i != k:
-                f = m[i][k]
+            f = m[i][k]
+            # With f = 0 and p = prev the update gives the row back.
+            if i != k and (f or p != prev):
                 m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], pivot_row)]
         prev = p
     if prev not in (1, -1):

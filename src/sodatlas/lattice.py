@@ -194,7 +194,9 @@ class SurfaceModel:
 
     def enumerate_r_classes(self, r: int) -> set[DivisorClass]:
         if r not in (-2, -1, 0, 1):
-            raise InputError(f"r must be one of -2,-1,0,1, got {r}")
+            shown = str(r)
+            shown = shown if len(shown) <= _QUOTE_LIMIT else _quote(shown)
+            raise InputError(f"r must be one of -2,-1,0,1, got {shown}")
         if self.degree < 3 and r >= 0:
             raise UnsupportedRangeError(
                 f"complete enumeration of {r}-classes is only supported in degree >= 3 "

@@ -8,19 +8,24 @@ per step.
 
 An object keeps a name only where a standard decomposition gives one (`O`,
 `O(D)`, `E`); names take no part in equality, and any other label is the
-class rendered on demand.
+class rendered on first read and kept on the object.
 
 serre_images is the one Serre step: it returns the class vectors that a
 power of the subcategory Serre matrix sends a block range's classes to.
 The `serre` move, the catalog's `serre-inv` post and serre_power_match all
 compare these class vectors, never coordinates in a span basis.
 serre_power_match tries the exponents 0, 1, -1, 2, -2, ... in that order,
-so +N comes before -N.
+so +N comes before -N.  A collection keeps the images it computed per
+range and power, so the `serre-inv` post reuses those of the script's
+`serre` move on the same side.
 
 A collection's Euler pairings are one flat row-major tuple, computed once
 per collection (`Collection._pairings`).  The move step indexes it for
-mutation coefficients and orthogonality tests, and check_collection slices
-each object's row once, rendering labels only for a violation.
+mutation coefficients and orthogonality tests, the Serre step cuts its
+range's Gram block from it, and check_collection slices each object's row
+once, rendering labels only for a violation; its basis test reads the
+opaque diagonal blocks off it too.  In a replay, only the certificate
+record builds the Gram matrix as rows.
 
 apply_move is a move and its check; run_script checks every collection it
 produces.  search_path searches from the start and from the goal at once.
@@ -67,7 +72,13 @@ class ExcObject:
 
     @property
     def label(self) -> str:
-        return self.name or render_kclass(self.cls)
+        """The object's name, else its class as `(rank; c1; chi)`.  Rendered
+        on first read and kept in the instance dict, as Block.key is: a move
+        shares every object it does not rewrite, so each is rendered once."""
+        label = self.__dict__.get("label")
+        if label is None:
+            label = self.__dict__["label"] = self.name or render_kclass(self.cls)
+        return label
 
 
 @dataclass(frozen=True)
@@ -208,25 +219,28 @@ def check_collection(collection: Collection) -> CheckReport:
         expected = collection.surface.picard_rank + 2
         if n != expected:
             violations.append(f"full collection has {n} objects, lattice needs {expected}")
-        elif not _lattice_basis(collection, collection.gram, not violations):
+        elif not _lattice_basis(collection, not violations):
             violations.append("classes do not form a basis of the K-lattice")
     return CheckReport(ok=not violations, violations=tuple(violations))
 
 
-def _lattice_basis(collection: Collection, gram, semi_orthogonal: bool) -> bool:
+def _lattice_basis(collection: Collection, semi_orthogonal: bool) -> bool:
     """Whether the classes, as many as the K-group rank, are a basis of it:
     det V = +-1 for V their vectors.  G = V X V^T, so det G = (det V)^2 det X.
     A semi-orthogonal G is block unipotent outside opaque blocks, so det G is
-    the product of the opaque diagonal blocks' determinants; otherwise this
-    takes det V itself."""
+    the product of the opaque diagonal blocks' determinants, read off the
+    flat pairings; otherwise this takes det V itself."""
     if not semi_orthogonal:
         return intlinalg.det([list(c.vector) for c in collection.classes()]) in (1, -1)
+    flat = collection._pairings
+    n = isqrt(len(flat))
     det_gram, at = 1, 0
     for b in collection.blocks:
+        end = at + len(b.objects)
         if b.opaque:
-            rows = gram[at : at + b.size]
-            det_gram *= intlinalg.det([list(row[at : at + b.size]) for row in rows])
-        at += b.size
+            rows = range(at * n, end * n, n)
+            det_gram *= intlinalg.det([list(flat[r + at : r + end]) for r in rows])
+        at = end
     return det_gram == euler_form_det(collection.surface)
 
 
@@ -387,8 +401,9 @@ def subcategory_serre_matrix(collection: Collection, rng: tuple[int, int] | None
     a, b = rng
     if not (1 <= a <= b <= len(blocks)):
         raise InputError(f"block range {a}..{b} out of bounds")
-    span, full = _flat_span(collection, a, b), collection.gram
-    gram = [list(full[i][span.start : span.stop]) for i in span]
+    span, flat = _flat_span(collection, a, b), collection._pairings
+    n = isqrt(len(flat))
+    gram = [list(flat[i * n + span.start : i * n + span.stop]) for i in span]
     try:
         inv = intlinalg.mat_inverse_integer(gram)
     except ValueError:  # exactly when det(gram) is not +-1
@@ -406,10 +421,22 @@ def serre_images(collection: Collection, rng: tuple[int, int], power: int) -> li
     """Class vectors that S^power sends the classes of blocks rng[0]..rng[1]
     to, in order, where S is the subcategory Serre matrix of that range.
     Column j of a matrix P is the image of the j-th class, so these are the
-    rows of P^T V (V: the classes' vectors, row by row)."""
-    serre = subcategory_serre_matrix(collection, rng)
-    power_t = intlinalg.transpose(intlinalg.mat_pow(serre, power))
-    return intlinalg.mat_mul(power_t, _span_vectors(collection, rng))
+    rows of P^T V (V: the classes' vectors, row by row).
+
+    Computed once per (collection, range, power) and kept in the
+    collection's instance dict, as `_pairings` is, so the `serre-inv` post
+    reuses what the script's `serre` move on the same side computed.  Each
+    call returns fresh lists.  Nothing is kept for a range whose Gram
+    matrix is not unimodular, so it raises InputError on every call."""
+    memo = collection.__dict__.setdefault("_serre_images", {})
+    key = (rng[0], rng[1], power)
+    images = memo.get(key)
+    if images is None:
+        serre = subcategory_serre_matrix(collection, rng)
+        power_t = intlinalg.transpose(intlinalg.mat_pow(serre, power))
+        images = intlinalg.mat_mul(power_t, _span_vectors(collection, rng))
+        memo[key] = images = tuple(map(tuple, images))
+    return [list(v) for v in images]
 
 
 def _twisted(block: Block, d) -> Block:
@@ -590,7 +617,7 @@ def run_script(collection: Collection, moves, case: str = ""):
 
     The start collection is checked once here; each collection a move
     produces is checked once, inside the move step, and its record reuses
-    the Gram matrix that check computed."""
+    the pairings that check computed."""
     states, steps = _replay(collection, moves, case)
     return states[-1], steps
 

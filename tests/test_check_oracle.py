@@ -12,15 +12,20 @@ the same Gram matrix.
 block it mutates through, and must give the same classes, also through a
 block that is not orthogonal.
 
-check_collection walks one flat row slice per object, and the move step
+check_collection walks one flat row slice per object, its basis test reads
+the opaque diagonal blocks off the flat pairings, and the move step
 indexes the flat pairings with a (row, column) stride.  The bodies they
 replaced are kept below as oracles: the n x n scan of `collection.gram`,
-the closure-based block mutation, the orthogonality test over
-`collection.gram` and the `dataclasses.replace`-based rewrite.  On the
+the basis test over `collection.gram`, the closure-based block mutation,
+the orthogonality test over `collection.gram` and the
+`dataclasses.replace`-based rewrite.  On the
 depth-2 walks of both sides of every catalog case, and on collections with
 permuted blocks, +-1 Gram entries or class coordinates, toggled opaque
 flags and `full=False`, both give the same violation texts in the same
 order, the same children, keys and MoveError texts.
+
+An object's label is rendered once and kept; on every collection these
+walks reach it must stay `name or render_kclass(cls)`.
 """
 
 import random
@@ -42,7 +47,6 @@ from sodatlas.mutation import (
     ExcObject,
     Move,
     _candidate_moves,
-    _lattice_basis,
     _replay,
     _rewrite,
     _sign_normal,
@@ -52,6 +56,7 @@ from sodatlas.mutation import (
     render_move,
     serre_images,
 )
+from sodatlas.textio import render_kclass
 
 _SEED = 20261018
 # I-4-3 and II-curve-gen-1 start with an opaque block; the other two are
@@ -293,6 +298,20 @@ def test_lr_coefficients_match_the_oracle_through_blocks_that_are_not_orthogonal
 # -- the move step's former bodies -----------------------------------------
 
 
+def _old_lattice_basis(collection, gram, semi_orthogonal):
+    """check_collection's basis test as its former body ran it, on the
+    opaque diagonal blocks of `collection.gram`."""
+    if not semi_orthogonal:
+        return intlinalg.det([list(c.vector) for c in collection.classes()]) in (1, -1)
+    det_gram, at = 1, 0
+    for b in collection.blocks:
+        if b.opaque:
+            rows = gram[at : at + b.size]
+            det_gram *= intlinalg.det([list(row[at : at + b.size]) for row in rows])
+        at += b.size
+    return det_gram == euler_form_det(collection.surface)
+
+
 def _old_check(collection):
     """check_collection's violations as its former body found them."""
     violations = _oracle_scan(collection)
@@ -301,7 +320,7 @@ def _old_check(collection):
         expected = collection.surface.picard_rank + 2
         if n != expected:
             violations.append(f"full collection has {n} objects, lattice needs {expected}")
-        elif not _lattice_basis(collection, collection.gram, not violations):
+        elif not _old_lattice_basis(collection, collection.gram, not violations):
             violations.append("classes do not form a basis of the K-lattice")
     return tuple(violations)
 
@@ -562,3 +581,28 @@ def test_move_step_matches_its_former_bodies_on_corrupted_collections():
                 for move in rng.sample(_step_moves(coll, False), 3):
                     tried += _same_rewrite(coll, move) is not None
     assert broken > 1_000 and tried > 1_000
+
+
+def _same_labels(collection):
+    for o in collection.objects():
+        label = o.label
+        assert label == (o.name or render_kclass(o.cls))
+        assert o.label is label
+
+
+def test_each_label_is_its_name_or_its_rendered_class():
+    """On every replay state and far side of the catalog, on the depth-2
+    walks of the walk cases and on their corruptions."""
+    rng = random.Random(_SEED + 3)
+    named = 0
+    for case in catalog_ids():
+        script = link_script(case)
+        states, _ = _replay(script.side1, script.moves, case)
+        for coll in (*states, script.side2):
+            _same_labels(coll)
+            named += sum(bool(o.name) for o in coll.objects())
+    for case in WALK_CASES:
+        side = link_script(case).side1
+        for coll in (*_walk(side, 2), *_corruptions(side, rng)):
+            _same_labels(coll)
+    assert named  # the standard far sides of the refinement cases name theirs

@@ -47,6 +47,18 @@ def test_classes_rejects_degree_out_of_range(capsys):
     code, _, err = run(capsys, "classes", "--degree", "12", "--r", "0")
     assert code == 2 and "degree" in err
 
+@pytest.mark.parametrize("flag", ["--degree", "--r"])
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+def test_classes_bounds_the_integer_it_echoes(capsys, flag, sign):
+    # 4,300 digits is the most argparse's int() takes
+    value = sign + "9" * 4300
+    argv = {"--degree": "5", "--r": "0", flag: value}
+    code, out, err = run(capsys, "classes", *[x for kv in argv.items() for x in kv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 300 and f"({len(value)} characters)" in err
+    assert ("degree" if flag == "--degree" else "r must be one of") in err
+
 def test_classes_rejects_unsupported_square_range(capsys):
     code, _, err = run(capsys, "classes", "--degree", "2", "--r", "0")
     assert code == 2 and "error:" in err

@@ -6,7 +6,8 @@ module, beside its type, and every import of it names that module; the
 symmetry layer takes only `MoriFibreSpace` and `standard_sod` from the
 catalog.  `MoriFibreSpace` alone decides which fibre spaces exist, and
 `standard_sod` only builds.  The exact kernels of `intlinalg` stay off the
-Fraction route.
+Fraction route.  The legality check reads the flat pairings and never
+builds the Gram tuple, which the certificate record builds once.
 """
 
 import ast
@@ -141,3 +142,15 @@ def test_the_exact_kernels_do_not_reach_for_fraction():
         used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
         used |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
         assert not used & {"Fraction", "mat_inverse_fraction"}, name
+
+
+def test_the_check_never_builds_the_gram_tuple():
+    checks = {
+        node.name: node
+        for node in MODULES["mutation"].body
+        if isinstance(node, ast.FunctionDef) and node.name in ("check_collection", "_lattice_basis")
+    }
+    assert sorted(checks) == ["_lattice_basis", "check_collection"]
+    for name, node in checks.items():
+        read = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        assert "_pairings" in read and "gram" not in read, name

@@ -7,6 +7,12 @@ mat_pow(S, k) == -Sigma, and `_power_match_on_coordinates` is the Hermite
 span check, solve_many and the walk on coordinate matrices. On a range whose
 classes form a basis of their span both routes must give the same verdict
 and the same exponent.
+
+serre_images keeps its images per (collection, range, power).
+`_former_serre_images` is its body before that memo, with the range's Gram
+block cut from `collection.gram`; on every replay state both must give the
+same vectors, and a caller's changes to a returned list must not reach
+the memo.
 """
 
 import random
@@ -17,7 +23,9 @@ import pytest
 
 from sodatlas import intlinalg
 from sodatlas.catalog.scripts import _run_post, catalog_ids, link_script
-from sodatlas.ktheory import sigma_kclass
+from sodatlas.errors import InputError
+from sodatlas.ktheory import class_from_vector, sigma_kclass
+from sodatlas.lattice import SurfaceModel
 from sodatlas.mutation import (
     Block,
     Collection,
@@ -25,6 +33,7 @@ from sodatlas.mutation import (
     Move,
     _replay,
     apply_move,
+    serre_images,
     serre_power_match,
     subcategory_serre_matrix,
 )
@@ -167,3 +176,62 @@ def test_serre_power_match_agrees_with_the_coordinate_walk():
             misses += 1
     assert misses == 12
     assert {p for p in powers if p < 0} and {p for p in powers if p > 0}
+
+
+def _former_serre_matrix(collection, rng):
+    """subcategory_serre_matrix before the memo, on `collection.gram`."""
+    a, b = rng
+    start = sum(blk.size for blk in collection.blocks[: a - 1])
+    stop = start + sum(blk.size for blk in collection.blocks[a - 1 : b])
+    gram = [list(row[start:stop]) for row in collection.gram[start:stop]]
+    try:
+        inv = intlinalg.mat_inverse_integer(gram)
+    except ValueError:
+        raise InputError("subcategory Gram matrix is not unimodular") from None
+    return intlinalg.mat_mul(inv, intlinalg.transpose(gram))
+
+
+def _former_serre_images(collection, rng, power, serre):
+    """serre_images before the memo, given the range's former Serre matrix."""
+    power_t = intlinalg.transpose(intlinalg.mat_pow(serre, power))
+    return intlinalg.mat_mul(power_t, [list(c.vector) for c in _range_classes(collection, rng)])
+
+
+def _end_ranges(collection):
+    """Every initial and every terminal block range."""
+    n = len(collection.blocks)
+    return sorted({(1, b) for b in range(1, n + 1)} | {(a, n) for a in range(1, n + 1)})
+
+
+def test_memoised_serre_images_match_the_former_body_on_every_replay_state():
+    """The first state of each replay is the catalog's side1, whose memo a
+    script's serre move or an earlier replay may have filled; every other
+    state starts empty."""
+    checked = 0
+    for cid in catalog_ids():
+        script = link_script(cid)
+        states, _ = _replay(script.side1, script.moves, cid)
+        for state in states:
+            for rng in _end_ranges(state):
+                serre = _former_serre_matrix(state, rng)
+                for k in range(-3, 4):
+                    want = _former_serre_images(state, rng, k, serre)
+                    got = serre_images(state, rng, k)
+                    assert got == want, (cid, rng, k)
+                    got[0][0] += 1
+                    got.append([])
+                    assert serre_images(state, rng, k) == want, (cid, rng, k)
+                    checked += 1
+    assert checked > 10_000
+
+
+def test_a_range_that_is_not_unimodular_raises_on_every_call():
+    plane = SurfaceModel("P2")
+    twice = class_from_vector(plane, [2, 0, 0])  # chi(2O, 2O) = 4
+    coll = Collection(plane, (Block((ExcObject(twice),), opaque=True),), full=False)
+    for k in (1, 1, -1, 1):
+        with pytest.raises(InputError) as exc:
+            serre_images(coll, (1, 1), k)
+        with pytest.raises(InputError) as former:
+            _former_serre_matrix(coll, (1, 1))
+        assert str(exc.value) == str(former.value) == "subcategory Gram matrix is not unimodular"
