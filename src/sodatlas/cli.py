@@ -313,6 +313,14 @@ def _cmd_selftest(_args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+def _int_arg(text: str) -> int:
+    """`int`, refusing a value with argparse's own text, quoted by `_quote`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sodatlas",
@@ -321,8 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classes", help="enumerate divisor classes of a fixed square")
-    p.add_argument("--degree", type=int, required=True, help="degree of the model, 1..9 (8 is the quadric)")
-    p.add_argument("--r", type=int, required=True, help="self-intersection, -2..1")
+    p.add_argument("--degree", type=_int_arg, required=True, help="degree of the model, 1..9 (8 is the quadric)")
+    p.add_argument("--r", type=_int_arg, required=True, help="self-intersection, -2..1")
     p.set_defaults(handler=_cmd_classes)
 
     p = sub.add_parser("sod", help="print the standard collection of a surface file")

@@ -7,7 +7,13 @@ permutation-basis certificate for the K-group, group cohomology H^1 with
 lattice coefficients, and the signed G-set sum attached to a chain of
 equivariant blow-ups and blow-downs.
 
-The closure lists the elements breadth-first, identity first.  Where each
+The closure lists the elements breadth-first, identity first, and multiplies
+no matrices.  A finite matrix group acts faithfully by permutations on the
+orbit Omega of the basis vectors, so `_close` walks Omega once, writes each
+element as the tuple of the Omega-indices of its columns, and multiplies by
+index lookup; the matrices are rebuilt at the end.  Its cap bounds the
+number of elements, and an orbit of more vectors than the cap already
+passes it, so an infinite group is stopped there.  Where each
 generator sends each item comes from one image table, `_image_table`, which
 is also the stability check; divisors move by `lattice.apply_divisor_matrix`
 and K-classes by `ktheory.sigma_kclass`.  Orbits of divisor classes and of a
@@ -29,6 +35,8 @@ order.  `h1_cyclic` is a second, independent route for cyclic groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from operator import mul
 
 from . import intlinalg
 from .catalog.core import MoriFibreSpace, standard_sod
@@ -54,21 +62,58 @@ def _identity(n: int) -> Matrix:
 
 
 def _close(generators, cap: int) -> tuple[Matrix, ...]:
-    """Multiplicative closure by breadth-first products, identity first."""
+    """Multiplicative closure by breadth-first products, identity first.
+
+    The products are taken on the orbit Omega of the basis vectors under the
+    generators: `rows[t][i]` is the index of g_t.Omega[i], a matrix m is the
+    tuple of the Omega-indices of its columns m.e_j, and g_t.m is that tuple
+    sent through `rows[t]`.  This holds for any square matrices, invertible
+    or not, since a matrix is its columns.
+
+    Raises ActionError exactly when the closure has more than `cap >= 1`
+    elements.  The orbit of a basis vector has at most as many points as the
+    closure has elements, so each basis vector's orbit is walked on its own
+    and the walk stops as soon as one passes `cap`: an infinite group stops
+    there after at most `cap` new points."""
     if not generators:
         raise InputError("closure needs at least one matrix")
-    elements = [_identity(len(generators[0]))]
-    seen = set(elements)
+    too_many = f"group closure exceeded the cap of {cap} elements"
+    n = len(generators[0])
+    basis = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    points: list[tuple[int, ...]] = []
+    index: dict[tuple[int, ...], int] = {}
+    rows: list[list[int]] = [[] for _ in generators]
+    for e in basis:
+        if e in index:
+            continue
+        start = len(points)
+        index[e] = start
+        points.append(e)
+        # Points are appended while they are walked; each gets its images
+        # under every generator before the walk moves on.
+        for v in islice(points, start, None):
+            for g, row in zip(generators, rows):
+                w = tuple(sum(map(mul, r, v)) for r in g)
+                k = index.get(w)
+                if k is None:
+                    k = index[w] = len(points)
+                    points.append(w)
+                    if len(points) - start > cap:
+                        raise ActionError(too_many)
+                row.append(k)
+    identity = tuple(index[e] for e in basis)
+    elements = [identity]
+    seen = {identity}
     # The list grows while it is walked, so the walk is breadth-first.
     for m in elements:
-        for g in generators:
-            p = _freeze(intlinalg.mat_mul(g, m))
+        for row in rows:
+            p = tuple(map(row.__getitem__, m))
             if p not in seen:
                 seen.add(p)
                 elements.append(p)
                 if len(elements) > cap:
-                    raise ActionError(f"group closure exceeded the cap of {cap} elements")
-    return tuple(elements)
+                    raise ActionError(too_many)
+    return tuple(tuple(zip(*map(points.__getitem__, m))) for m in elements)
 
 
 @dataclass(frozen=True)

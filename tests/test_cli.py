@@ -49,15 +49,37 @@ def test_classes_rejects_degree_out_of_range(capsys):
 
 @pytest.mark.parametrize("flag", ["--degree", "--r"])
 @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
-def test_classes_bounds_the_integer_it_echoes(capsys, flag, sign):
-    # 4,300 digits is the most argparse's int() takes
-    value = sign + "9" * 4300
+@pytest.mark.parametrize("digits", [4300, 5000])
+def test_classes_bounds_the_integer_it_echoes(capsys, flag, sign, digits):
+    # 4,300 digits is the most int() takes: the command refuses the value,
+    # and a longer one is refused while the arguments are parsed
+    value = sign + "9" * digits
     argv = {"--degree": "5", "--r": "0", flag: value}
-    code, out, err = run(capsys, "classes", *[x for kv in argv.items() for x in kv])
+    try:
+        code = cli.main(["classes", *[x for kv in argv.items() for x in kv]])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert len(err) < 300 and f"({len(value)} characters)" in err
-    assert ("degree" if flag == "--degree" else "r must be one of") in err
+    last = err.splitlines()[-1]
+    assert len(last) < 300 and f"'... ({len(value)} characters)" in last
+    if digits == 4300:
+        assert err == last + "\n" and last.startswith("error: ")
+        assert ("degree" if flag == "--degree" else "r must be one of") in last
+    else:
+        assert err.startswith("usage: sodatlas classes")
+        assert last.startswith(f"sodatlas classes: error: argument {flag}: invalid int value: ")
+
+
+@pytest.mark.parametrize("flag", ["--degree", "--r"])
+def test_classes_refuses_a_value_that_is_no_integer(capsys, flag):
+    argv = {"--degree": "5", "--r": "0", flag: "abc"}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classes", *[x for kv in argv.items() for x in kv]])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == f"sodatlas classes: error: argument {flag}: invalid int value: 'abc'"
 
 def test_classes_rejects_unsupported_square_range(capsys):
     code, _, err = run(capsys, "classes", "--degree", "2", "--r", "0")
@@ -286,6 +308,31 @@ def test_group_rejects_non_isometry(tmp_path, capsys):
     f.write_text("[group]\nmodel = P2\ngen = [[2]]\n")
     code, _, err = run(capsys, "group", "--action", str(f))
     assert code == 2 and "intersection form" in err
+
+def test_group_stops_an_infinite_group_at_the_closure_cap(tmp_path):
+    """The quadratic reflection in E1, E2, E3 and the 9-cycle of the E_i
+    generate an infinite subgroup of W(E9): H has an infinite orbit.  The
+    command runs in a subprocess with a time limit and a limited address
+    space, so a closure that never stops fails instead of hanging."""
+    root = [1, -1, -1, -1] + [0] * 6
+    dot = [1, 1, 1, 1] + [0] * 6  # x.root = dot . x
+    reflection = [[int(i == j) + dot[j] * root[i] for j in range(10)] for i in range(10)]
+    image = [0, *range(2, 10), 1]  # H stays, E_i goes to E_i+1 and E9 to E1
+    cycle = [[int(i == image[j]) for j in range(10)] for i in range(10)]
+    f = tmp_path / "action.cfg"
+    f.write_text(f"[group]\nmodel = P2[1,1,1,1,1,1,1,1,1]\ngen = {reflection}\ngen = {cycle}\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI, "group", "--action", str(f)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: group closure exceeded the cap of 10000 elements\n"
 
 
 # -- atoms -----------------------------------------------------------------------

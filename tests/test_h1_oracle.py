@@ -8,6 +8,11 @@ former H^1 routes are kept here unchanged as independent oracles:
 - `_cocycle_h1` solves for the values of a cocycle on the generators, with
   the relations read off a walk of the Cayley table; `cocycle_h1` builds
   that table from the breadth-first closure.
+
+The former matrix closure, one product per element and generator, is kept
+as `_old_close`.  The library's closure by index lookup on the orbit of the
+basis vectors must list the same elements, or raise the same error with
+the same text, on groups and on monoids, finite or not.
 """
 
 from functools import cache
@@ -18,7 +23,7 @@ from hypothesis import strategies as st
 
 from sodatlas import equivariant, intlinalg
 from sodatlas.equivariant import group_action, h1_cyclic, h1_lattice, h1_picard
-from sodatlas.errors import ActionError, VerificationError
+from sodatlas.errors import ActionError, InputError, VerificationError
 from sodatlas.lattice import SurfaceModel
 
 
@@ -333,4 +338,87 @@ def weyl_caps(monkeypatch):
 def test_weyl_subgroups_agree_with_the_cocycle_walk(weyl_caps, case):
     k, gens = case
     action = group_action(SurfaceModel("P2", (k,)), gens)
+    assert action.elements == closure(action.generators)
     assert h1_picard(action) == cocycle_h1(action.generators)
+
+
+# -- the closure on the orbit of the basis, against the matrix closure ----------
+
+def _old_close(generators, cap):
+    """The former `equivariant._close`: one matrix product per (element,
+    generator) pair, breadth-first, identity first, capped per element."""
+    if not generators:
+        raise InputError("closure needs at least one matrix")
+    elements = [_freeze(intlinalg.identity(len(generators[0])))]
+    seen = set(elements)
+    for m in elements:
+        for g in generators:
+            p = _freeze(intlinalg.mat_mul(g, m))
+            if p not in seen:
+                seen.add(p)
+                elements.append(p)
+                if len(elements) > cap:
+                    raise ActionError(f"group closure exceeded the cap of {cap} elements")
+    return tuple(elements)
+
+
+def _outcome(close, generators, cap):
+    """The elements `close` lists, or the type and text of what it raises."""
+    try:
+        return close(generators, cap)
+    except InputError as exc:  # ActionError among them
+        return type(exc), str(exc)
+
+
+WEYL_A4_P2_4 = (4, [perm(4, [1, 2]), perm(4, [2, 3]), perm(4, [3, 4]), quadratic_reflection(4)])
+
+
+@pytest.mark.parametrize("name", [*ACTIONS, "s4-p2-4", "weyl-a4-p2-4"])
+def test_the_closure_cap_is_the_group_order(name):
+    n, gens = {"s4-p2-4": S4_P2_4, "weyl-a4-p2-4": WEYL_A4_P2_4}.get(name) or ACTIONS[name]
+    gens = [_freeze(g) for g in gens]
+    order = len(closure(gens))
+    assert equivariant._close(gens, order) == _old_close(gens, order)
+    with pytest.raises(ActionError) as exc:
+        equivariant._close(gens, order - 1)
+    assert str(exc.value) == f"group closure exceeded the cap of {order - 1} elements"
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        [[[1, 0], [0, 0]]],  # an idempotent: the monoid {1, g}
+        [[[0]]],  # the zero map: {1, 0}
+        [[[1, 1], [0, 1]]],  # infinite order
+        [[[0, 1], [1, 0]], [[1, 1], [0, 1]]],  # infinite, with a finite generator
+        [[[0, 0], [1, 0]]],  # nilpotent: {1, g, 0}
+        [[]],  # the 0x0 matrix
+        [[], []],
+        [],  # no generator at all
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 50])
+def test_edge_generators_close_as_the_matrix_closure_did(generators, cap):
+    assert _outcome(equivariant._close, generators, cap) == _outcome(_old_close, generators, cap)
+
+
+@st.composite
+def square_generators(draw):
+    """1 to 3 square generators of one size n = 0..4: signed permutation
+    matrices (isometries of the standard form) or matrices with entries in
+    -1..1, invertible or not; and a cap of 1 to 100."""
+    n = draw(st.integers(0, 4))
+    signed = st.tuples(
+        st.permutations(range(n)), st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
+    ).map(lambda ps: [[ps[1][j] * (i == ps[0][j]) for j in range(n)] for i in range(n)])
+    small = st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n), min_size=n, max_size=n)
+    gens = draw(st.lists(st.one_of(signed, signed, small), min_size=1, max_size=3))
+    return gens, draw(st.integers(1, 100))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(square_generators())
+def test_the_orbit_closure_agrees_with_the_matrix_closure(case):
+    gens, cap = case
+    assert _outcome(equivariant._close, gens, cap) == _outcome(_old_close, gens, cap)

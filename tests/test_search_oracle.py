@@ -9,7 +9,9 @@ on seeded samples of goals at depth 1 to 4.
 The two-sided search checks only its ends and the word it returns.  That
 rests on a theorem, kept here as a property: every child a search move
 makes from a collection that passes check_collection passes it too, on
-random walks from both sides of every catalog case.
+random walks from both sides of every catalog case.  Its backward half
+rests on another, also kept as a property: every search move has a search
+move as its inverse, up to the search's key.
 """
 
 import random
@@ -26,6 +28,7 @@ from sodatlas.ktheory import class_from_vector
 from sodatlas.lattice import SurfaceModel
 from sodatlas.mutation import (
     Collection,
+    Move,
     MoveError,
     canonical_form,
     check_collection,
@@ -146,3 +149,39 @@ def test_search_moves_keep_a_checked_collection_valid(case, side, word):
         for child in children:
             assert check_collection(child).ok, mutation._render_blocks(child)
         current = children[pick % len(children)]
+
+
+def _inverse(move):
+    """The search move that undoes `move`: L i and R i-1 undo each other, as
+    do helix -K and helix +K, and swap i undoes itself."""
+    if move.kind == "L":
+        return Move("R", index=move.index - 1)
+    if move.kind == "R":
+        return Move("L", index=move.index + 1)
+    if move.kind == "swap":
+        return move
+    return Move("helix+" if move.kind == "helix-" else "helix-")
+
+
+@pytest.mark.parametrize("case", catalog_ids())
+def test_an_inverse_word_takes_each_side_back_to_its_key(case):
+    """A seeded word of 1 to 4 search moves that apply, from either side,
+    then its inverse word in reverse: the key is the start's again."""
+    for side in ("side1", "side2"):
+        start = getattr(link_script(case), side)
+        rng = random.Random(f"{case} {side}")
+        current, word = start, []
+        for _ in range(rng.randint(1, 4)):
+            moves = mutation._candidate_moves(current)
+            rng.shuffle(moves)
+            for move in moves:
+                try:
+                    current = mutation._rewrite(current, move)
+                except MoveError:
+                    continue
+                word.append(move)
+                break
+        assert word, side
+        for move in reversed(word):
+            current = mutation._rewrite(current, _inverse(move))
+        assert canonical_form(current) == canonical_form(start), (side, render_script(word))
