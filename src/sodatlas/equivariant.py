@@ -27,15 +27,18 @@ the sequence 0 -> M -> M -> M/NM -> 0 of multiplication by N gives
 
     H^1(G, M) = L / (M^G + N.M),  L = {x : (g - 1)x in N.M for every generator g}
 
-(Brown, *Cohomology of Groups*, III.10).  `_h1` computes it from one kernel
-of |S|.n rows, one Smith solve and one abelian quotient, whatever the group
-order.  `h1_cyclic` is a second, independent route for cyclic groups.
+(Brown, *Cohomology of Groups*, III.10).  Both L and M^G are read off the
+(g - 1) rows of all generators stacked, R: with d_1 | ... | d_r its invariant
+factors, H^1 = (+) Z/gcd(N, d_i) and the invariant rank is n - r.  So each
+costs one Smith reduction of an |S|.n x n matrix, whatever the group order.
+`h1_cyclic` is a second, independent route for cyclic groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from math import gcd
 from operator import mul
 
 from . import intlinalg
@@ -155,19 +158,17 @@ def group_action(surface: SurfaceModel, generators) -> GroupAction:
 
 # -- fixed sublattice and orbits ----------------------------------------------
 
-def _fixed_lattice(generators) -> tuple[list[list[int]], list[list[int]]]:
-    """The rows of g - 1 stacked over the generators, and a basis of their
-    kernel, the fixed sublattice."""
-    n = len(generators[0])
-    rows = [[g[i][j] - (i == j) for j in range(n)] for g in generators for i in range(n)]
-    return rows, intlinalg.kernel_basis(rows)
+def _moved_factors(generators) -> list[int]:
+    """Invariant factors of R, the rows of g - 1 stacked over the generators
+    (no rows for no generator)."""
+    rows = [[x - (i == j) for j, x in enumerate(row)] for g in generators for i, row in enumerate(g)]
+    return intlinalg.invariant_factors(rows)
 
 
 def invariant_rank(action: GroupAction) -> int:
-    """Rank of the common fixed sublattice of all generators."""
-    if not action.generators:
-        return action.surface.picard_rank
-    return len(_fixed_lattice(action.generators)[1])
+    """Rank of the common fixed sublattice of all generators: the kernel of
+    R, so n minus the number of R's invariant factors."""
+    return action.surface.picard_rank - len(_moved_factors(action.generators))
 
 
 def _image_table(generators, items, key, move, error: str) -> list[list[int]]:
@@ -562,31 +563,30 @@ def minimality_proxy(action: GroupAction, parts) -> dict:
 # -- H^1 with lattice coefficients ------------------------------------------------
 
 def _h1(generators: tuple[Matrix, ...], order: int) -> list[int]:
-    """L / (M^G + N.M) for the group of the given order N.
+    """L / (M^G + N.M) for the group of the given order N: the gcds of N with
+    the invariant factors d_i of R, the stacked g - 1 rows, that exceed 1.
 
-    L is the x-part of the kernel of the stacked [g - 1 | -N.I] rows, whose
-    other part holds the quotients (g - 1)x / N; the x-part fixes them, so
-    it is a basis of L.  M^G is the kernel of the g - 1 rows alone.
+    With U.R.V = D in Smith form and y = V^-1.x, x lies in L exactly when N
+    divides d_i.y_i for each i <= r, in M^G exactly when y_i = 0 for each
+    i <= r, and in N.M exactly when N divides y.  So the quotient is the sum
+    of the (N / gcd(N, d_i))Z / NZ = Z/gcd(N, d_i), already a divisibility
+    chain.
     """
-    n = len(generators[0])
-    rows, fixed = _fixed_lattice(generators)
-    stacked = [row + [-order * (i == k) for k in range(len(rows))] for i, row in enumerate(rows)]
-    lattice = [v[:n] for v in intlinalg.kernel_basis(stacked)]
-    spanning = fixed + [[order * (i == k) for i in range(n)] for k in range(n)]
-    coords = intlinalg.solve_many(intlinalg.transpose(lattice), spanning)
-    if None in coords:
-        raise VerificationError("a vector of M^G + N.M falls outside L")
-    return intlinalg.abelian_quotient(n, coords)
+    return [f for f in (gcd(order, d) for d in _moved_factors(generators)) if f > 1]
 
 
 def h1_lattice(generators) -> list[int]:
     """Invariant factors of H^1 for a matrix group given by generators.
 
     Pure lattice arithmetic: no surface, no form or K constraint, so it also
-    serves actions that no surface model can host.  The closure, capped at
-    DEFAULT_H1_CAP elements, supplies only the order.
+    serves actions that no surface model can host.  The generators must be
+    square matrices of one size; the closure, capped at DEFAULT_H1_CAP
+    elements, supplies only the order.
     """
     generators = tuple(_freeze(g) for g in generators)
+    n = len(generators[0]) if generators else 0
+    if any(len(g) != n or any(len(row) != n for row in g) for g in generators):
+        raise InputError(f"generator is not a {n}x{n} matrix")
     return _h1(generators, len(_close(generators, DEFAULT_H1_CAP)))
 
 
@@ -596,8 +596,6 @@ def h1_picard(action: GroupAction) -> list[int]:
         raise UnsupportedRangeError(
             f"group of order {action.order} exceeds the H^1 cap of {DEFAULT_H1_CAP}"
         )
-    if not action.generators:
-        return []
     return _h1(action.generators, action.order)
 
 

@@ -608,6 +608,23 @@ def test_h1_of_a_verified_permutation_module_vanishes():
     assert h1_lattice(cert["matrices"]) == []
 
 
+@pytest.mark.parametrize(
+    "generators, size",
+    [
+        ([[[1, 0], [0, 1]], [[1]]], 2),  # two sizes
+        ([[[1, 0]]], 1),  # one row of two entries
+        ([[[1, 0], [0]]], 2),  # a ragged row
+    ],
+)
+def test_h1_lattice_refuses_generators_that_are_not_square_of_one_size(generators, size):
+    with pytest.raises(InputError, match=f"^generator is not a {size}x{size} matrix$"):
+        h1_lattice(generators)
+
+
+def test_h1_lattice_of_the_0x0_generator_vanishes():
+    assert h1_lattice([[]]) == []
+
+
 def test_h1_cap_is_enforced():
     with pytest.raises(UnsupportedRangeError):
         h1_picard(weyl_action())

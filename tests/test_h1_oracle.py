@@ -1,6 +1,6 @@
-"""H^1 from the generators and the group order against two former routes.
+"""H^1 from the generators and the group order against three former routes.
 
-The library computes H^1(G, M) as L / (M^G + N.M), N = |G|.  Two of its
+The library computes H^1(G, M) as L / (M^G + N.M), N = |G|.  Three of its
 former H^1 routes are kept here unchanged as independent oracles:
 
 - `bar_h1` builds the inhomogeneous bar complex over every pair of group
@@ -8,6 +8,11 @@ former H^1 routes are kept here unchanged as independent oracles:
 - `_cocycle_h1` solves for the values of a cocycle on the generators, with
   the relations read off a walk of the Cayley table; `cocycle_h1` builds
   that table from the breadth-first closure.
+- `_kernel_h1` reads L off the kernel of the stacked [g - 1 | -N.I] rows
+  and takes the quotient by a solve; its `_fixed_lattice` gives the
+  invariant rank.  The library now reads both off the invariant factors of
+  the stacked g - 1 rows alone, and must agree with it on arbitrary integer
+  generators and any N, singular ones included.
 
 The former matrix closure, one product per element and generator, is kept
 as `_old_close`.  The library's closure by index lookup on the orbit of the
@@ -16,13 +21,14 @@ the same text, on groups and on monoids, finite or not.
 """
 
 from functools import cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sodatlas import equivariant, intlinalg
-from sodatlas.equivariant import group_action, h1_cyclic, h1_lattice, h1_picard
+from sodatlas.equivariant import group_action, h1_cyclic, h1_lattice, h1_picard, invariant_rank
 from sodatlas.errors import ActionError, InputError, VerificationError
 from sodatlas.lattice import SurfaceModel
 
@@ -422,3 +428,86 @@ def square_generators(draw):
 def test_the_orbit_closure_agrees_with_the_matrix_closure(case):
     gens, cap = case
     assert _outcome(equivariant._close, gens, cap) == _outcome(_old_close, gens, cap)
+
+
+# -- one Smith form against the former kernel-solve-quotient route ----------------
+
+def _fixed_lattice(generators):
+    """The rows of g - 1 stacked over the generators, and a basis of their
+    kernel, the fixed sublattice."""
+    n = len(generators[0])
+    rows = [[g[i][j] - (i == j) for j in range(n)] for g in generators for i in range(n)]
+    return rows, intlinalg.kernel_basis(rows)
+
+
+def _kernel_h1(generators, order):
+    """The former `equivariant._h1`: L / (M^G + N.M) for N = order.
+
+    L is the x-part of the kernel of the stacked [g - 1 | -N.I] rows, whose
+    other part holds the quotients (g - 1)x / N; the x-part fixes them, so
+    it is a basis of L.  M^G is the kernel of the g - 1 rows alone.
+    """
+    n = len(generators[0])
+    rows, fixed = _fixed_lattice(generators)
+    stacked = [row + [-order * (i == k) for k in range(len(rows))] for i, row in enumerate(rows)]
+    lattice = [v[:n] for v in intlinalg.kernel_basis(stacked)]
+    spanning = fixed + [[order * (i == k) for i in range(n)] for k in range(n)]
+    coords = intlinalg.solve_many(intlinalg.transpose(lattice), spanning)
+    if None in coords:
+        raise VerificationError("a vector of M^G + N.M falls outside L")
+    return intlinalg.abelian_quotient(n, coords)
+
+
+def _rank(generators):
+    """`invariant_rank` on bare generators: it reads only the generators and
+    the Picard rank, so no surface has to host them."""
+    n = len(generators[0])
+    action = SimpleNamespace(surface=SimpleNamespace(picard_rank=n), generators=generators)
+    return invariant_rank(action)
+
+
+@st.composite
+def integer_generators(draw):
+    """1 to 3 integer matrices of one size n = 0..6, singular or not, with
+    small entries (which make torsion and kernels likely) or arbitrary ones;
+    and an order N >= 1, small or arbitrary."""
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(-2, 3), st.integers(-2, 3), st.integers())
+    matrix = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    gens = draw(st.lists(matrix, min_size=1, max_size=3))
+    order = draw(st.one_of(st.integers(1, 120), st.integers(min_value=1)))
+    return tuple(_freeze(g) for g in gens), order
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(integer_generators())
+def test_the_smith_route_agrees_with_the_kernel_route(case):
+    gens, order = case
+    assert equivariant._h1(gens, order) == _kernel_h1(gens, order)
+    assert _rank(gens) == len(_fixed_lattice(gens)[1])
+
+
+@pytest.mark.parametrize("name", [*ACTIONS, "s4-p2-4", "weyl-a4-p2-4"])
+def test_benchmark_actions_agree_with_the_kernel_route(name):
+    n, gens = {"s4-p2-4": S4_P2_4, "weyl-a4-p2-4": WEYL_A4_P2_4}.get(name) or ACTIONS[name]
+    action = group_action(SurfaceModel("P2", (n,)), gens)
+    # W(A4) has order 120, above the H^1 cap, so its H^1 is taken directly
+    gens, order = action.generators, action.order
+    assert equivariant._h1(gens, order) == _kernel_h1(gens, order)
+    assert invariant_rank(action) == len(_fixed_lattice(gens)[1])
+
+
+@pytest.mark.parametrize("name", ACTIONS)
+def test_h1_and_the_invariant_rank_take_one_smith_reduction_each(name, monkeypatch):
+    action = group_action(SurfaceModel("P2", (ACTIONS[name][0],)), ACTIONS[name][1])
+    calls = {"smith_normal_form": 0, "kernel_basis": 0, "solve_many": 0}
+    for fn in calls:
+        def counted(*args, _fn=fn, _original=getattr(intlinalg, fn)):
+            calls[_fn] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(intlinalg, fn, counted)
+    h1_picard(action)
+    assert calls == {"smith_normal_form": 1, "kernel_basis": 0, "solve_many": 0}
+    invariant_rank(action)
+    assert calls == {"smith_normal_form": 2, "kernel_basis": 0, "solve_many": 0}
