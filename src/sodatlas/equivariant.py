@@ -29,8 +29,9 @@ the sequence 0 -> M -> M -> M/NM -> 0 of multiplication by N gives
 
 (Brown, *Cohomology of Groups*, III.10).  Both L and M^G are read off the
 (g - 1) rows of all generators stacked, R: with d_1 | ... | d_r its invariant
-factors, H^1 = (+) Z/gcd(N, d_i) and the invariant rank is n - r.  So each
-costs one Smith reduction of an |S|.n x n matrix, whatever the group order.
+factors, H^1 = (+) Z/gcd(N, d_i) and the invariant rank is n - r.  An
+action reduces R once and keeps the factors in its instance dict, so both
+cost one Smith reduction of an |S|.n x n matrix, whatever the group order.
 `h1_cyclic` is a second, independent route for cyclic groups.
 """
 
@@ -165,10 +166,18 @@ def _moved_factors(generators) -> list[int]:
     return intlinalg.invariant_factors(rows)
 
 
+def _action_factors(action: GroupAction) -> list[int]:
+    """_moved_factors of the generators, kept in the action's instance dict."""
+    kept = action.__dict__
+    if "_moved_factors" not in kept:
+        kept["_moved_factors"] = _moved_factors(action.generators)
+    return kept["_moved_factors"]
+
+
 def invariant_rank(action: GroupAction) -> int:
     """Rank of the common fixed sublattice of all generators: the kernel of
     R, so n minus the number of R's invariant factors."""
-    return action.surface.picard_rank - len(_moved_factors(action.generators))
+    return action.surface.picard_rank - len(_action_factors(action))
 
 
 def _image_table(generators, items, key, move, error: str) -> list[list[int]]:
@@ -562,7 +571,7 @@ def minimality_proxy(action: GroupAction, parts) -> dict:
 
 # -- H^1 with lattice coefficients ------------------------------------------------
 
-def _h1(generators: tuple[Matrix, ...], order: int) -> list[int]:
+def _h1(factors: list[int], order: int) -> list[int]:
     """L / (M^G + N.M) for the group of the given order N: the gcds of N with
     the invariant factors d_i of R, the stacked g - 1 rows, that exceed 1.
 
@@ -572,7 +581,7 @@ def _h1(generators: tuple[Matrix, ...], order: int) -> list[int]:
     of the (N / gcd(N, d_i))Z / NZ = Z/gcd(N, d_i), already a divisibility
     chain.
     """
-    return [f for f in (gcd(order, d) for d in _moved_factors(generators)) if f > 1]
+    return [f for f in (gcd(order, d) for d in factors) if f > 1]
 
 
 def h1_lattice(generators) -> list[int]:
@@ -587,7 +596,7 @@ def h1_lattice(generators) -> list[int]:
     n = len(generators[0]) if generators else 0
     if any(len(g) != n or any(len(row) != n for row in g) for g in generators):
         raise InputError(f"generator is not a {n}x{n} matrix")
-    return _h1(generators, len(_close(generators, DEFAULT_H1_CAP)))
+    return _h1(_moved_factors(generators), len(_close(generators, DEFAULT_H1_CAP)))
 
 
 def h1_picard(action: GroupAction) -> list[int]:
@@ -596,7 +605,7 @@ def h1_picard(action: GroupAction) -> list[int]:
         raise UnsupportedRangeError(
             f"group of order {action.order} exceeds the H^1 cap of {DEFAULT_H1_CAP}"
         )
-    return _h1(action.generators, action.order)
+    return _h1(_action_factors(action), action.order)
 
 
 def h1_cyclic(generator) -> list[int]:
@@ -606,6 +615,8 @@ def h1_cyclic(generator) -> list[int]:
     """
     g = _freeze(generator)
     n = len(g)
+    if any(len(row) != n for row in g):
+        raise InputError(f"generator is not a {n}x{n} matrix")
     one = _identity(n)
     powers = [one]
     p = g

@@ -52,29 +52,6 @@ def mat_vec(a, v) -> Vector:
     return [sum(map(mul, row, v)) for row in a]
 
 
-def mat_pow(a, k: int) -> Matrix:
-    """a**k for k >= 0 (k < 0 goes through mat_inverse_integer first).
-
-    Square-and-multiply from the lowest set bit of k: the result starts as
-    the first power it needs and the squaring stops after the highest bit."""
-    if k < 0:
-        return mat_pow(mat_inverse_integer(a), -k)
-    if k == 0:
-        return identity(len(a))
-    base = copy_matrix(a)
-    while not k & 1:
-        base = mat_mul(base, base)
-        k >>= 1
-    result = base
-    k >>= 1
-    while k:
-        base = mat_mul(base, base)
-        if k & 1:
-            result = mat_mul(result, base)
-        k >>= 1
-    return result
-
-
 def det(a) -> int:
     """Fraction-free Bareiss determinant."""
     n = len(a)

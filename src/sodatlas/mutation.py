@@ -10,14 +10,14 @@ An object keeps a name only where a standard decomposition gives one (`O`,
 `O(D)`, `E`); names take no part in equality, and any other label is the
 class rendered on first read and kept on the object.
 
-serre_images is the one Serre step: it returns the class vectors that a
-power of the subcategory Serre matrix sends a block range's classes to.
-The `serre` move, the catalog's `serre-inv` post and serre_power_match all
-compare these class vectors, never coordinates in a span basis.
-serre_power_match tries the exponents 0, 1, -1, 2, -2, ... in that order,
-so +N comes before -N.  A collection keeps the images it computed per
-range and power, so the `serre-inv` post reuses those of the script's
-`serre` move on the same side.
+serre_images is the one Serre step and the only place a power of a Serre
+matrix is taken: it returns the class vectors that S^power sends a block
+range's classes to.  The `serre` move, the catalog's `serre-inv` post and
+serre_power_match read it and compare class vectors, never coordinates in
+a span basis; serre_power_match asks for 0, 1, -1, 2, -2, ... in that
+order, so +N comes before -N.  A collection keeps per range its steps and
+the powers it reached, so the `serre-inv` post reuses the images of the
+script's `serre` move on the same side.
 
 A collection's Euler pairings are one flat row-major tuple, computed once
 per collection (`Collection._pairings`).  The move step indexes it for
@@ -423,20 +423,26 @@ def serre_images(collection: Collection, rng: tuple[int, int], power: int) -> li
     Column j of a matrix P is the image of the j-th class, so these are the
     rows of P^T V (V: the classes' vectors, row by row).
 
-    Computed once per (collection, range, power) and kept in the
-    collection's instance dict, as `_pairings` is, so the `serre-inv` post
-    reuses what the script's `serre` move on the same side computed.  Each
-    call returns fresh lists.  Nothing is kept for a range whose Gram
-    matrix is not unimodular, so it raises InputError on every call."""
+    The only place a Serre power is taken.  Per range, the collection's
+    instance dict keeps the up step S^T, the down step (S^-1)^T once a
+    negative power is asked for, and every power of V reached, V itself
+    as power 0; a new power steps from the nearest kept one toward it, one
+    product per step.  Each call returns fresh lists.  Nothing is kept for
+    a range whose Gram matrix is not unimodular, so it raises InputError
+    on every call, power 0 included."""
     memo = collection.__dict__.setdefault("_serre_images", {})
-    key = (rng[0], rng[1], power)
-    images = memo.get(key)
-    if images is None:
-        serre = subcategory_serre_matrix(collection, rng)
-        power_t = intlinalg.transpose(intlinalg.mat_pow(serre, power))
-        images = intlinalg.mat_mul(power_t, _span_vectors(collection, rng))
-        memo[key] = images = tuple(map(tuple, images))
-    return [list(v) for v in images]
+    key = (rng[0], rng[1])
+    if key not in memo:
+        up = intlinalg.transpose(subcategory_serre_matrix(collection, rng))
+        memo[key] = ({1: up}, {0: tuple(map(tuple, _span_vectors(collection, rng)))})
+    steps, kept = memo[key]
+    sign = -1 if power < 0 else 1
+    if sign not in steps:
+        steps[sign] = intlinalg.mat_inverse_integer(steps[1])
+    nearest = next(k for k in range(power, -sign, -sign) if k in kept)
+    for k in range(nearest + sign, power + sign, sign):
+        kept[k] = tuple(map(tuple, intlinalg.mat_mul(steps[sign], kept[k - sign])))
+    return [list(v) for v in kept[power]]
 
 
 def _twisted(block: Block, d) -> Block:
@@ -757,8 +763,9 @@ def serre_power_match(
 ):
     """Smallest |N| with S^N carrying the listed blocks of `a` onto those of
     `b` (per block, up to order and a sign per object), where S is the
-    subcategory Serre matrix of the `a` range, trying N before -N; None if
-    the block shapes differ or no power fits."""
+    subcategory Serre matrix of the `a` range, trying N before -N through
+    serre_images; None if the block shapes differ or no |N| <= max_power
+    fits.  A range that is not unimodular raises, whatever the bound."""
     sizes = [blk.size for blk in a.blocks[rng_a[0] - 1 : rng_a[1]]]
     if sizes != [blk.size for blk in b.blocks[rng_b[0] - 1 : rng_b[1]]]:
         return None
@@ -769,17 +776,10 @@ def serre_power_match(
         return [sorted(normal[at : at + size]) for at, size in zip(starts, sizes)]
 
     target = per_block(_span_vectors(b, rng_b))
-    serre = subcategory_serre_matrix(a, rng_a)
-    step = intlinalg.transpose(serre)
-    step_back = intlinalg.transpose(intlinalg.mat_inverse_integer(serre))
-    forward = backward = _span_vectors(a, rng_a)
-    for n_abs in range(max_power + 1):
-        tries = [(0, forward)]
-        if n_abs:
-            forward = intlinalg.mat_mul(step, forward)
-            backward = intlinalg.mat_mul(step_back, backward)
-            tries = [(n_abs, forward), (-n_abs, backward)]
-        for n, images in tries:
-            if per_block(images) == target:
+    if per_block(serre_images(a, rng_a, 0)) == target and max_power >= 0:
+        return 0
+    for n_abs in range(1, max_power + 1):
+        for n in (n_abs, -n_abs):
+            if per_block(serre_images(a, rng_a, n)) == target:
                 return n
     return None

@@ -621,6 +621,19 @@ def test_h1_lattice_refuses_generators_that_are_not_square_of_one_size(generator
         h1_lattice(generators)
 
 
+@pytest.mark.parametrize(
+    "generator, size",
+    [
+        ([[1, 0]], 1),  # one row of two entries
+        ([[1], [0]], 2),  # two rows of one entry
+        ([[0, 1], [1]], 2),  # a ragged row
+    ],
+)
+def test_h1_cyclic_refuses_a_generator_that_is_not_square(generator, size):
+    with pytest.raises(InputError, match=f"^generator is not a {size}x{size} matrix$"):
+        h1_cyclic(generator)
+
+
 def test_h1_lattice_of_the_0x0_generator_vanishes():
     assert h1_lattice([[]]) == []
 

@@ -20,6 +20,7 @@ basis vectors must list the same elements, or raise the same error with
 the same text, on groups and on monoids, finite or not.
 """
 
+import json
 from functools import cache
 from types import SimpleNamespace
 
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sodatlas import equivariant, intlinalg
+from sodatlas import cli, equivariant, intlinalg
 from sodatlas.equivariant import group_action, h1_cyclic, h1_lattice, h1_picard, invariant_rank
 from sodatlas.errors import ActionError, InputError, VerificationError
 from sodatlas.lattice import SurfaceModel
@@ -483,7 +484,7 @@ def integer_generators(draw):
 @given(integer_generators())
 def test_the_smith_route_agrees_with_the_kernel_route(case):
     gens, order = case
-    assert equivariant._h1(gens, order) == _kernel_h1(gens, order)
+    assert equivariant._h1(equivariant._moved_factors(gens), order) == _kernel_h1(gens, order)
     assert _rank(gens) == len(_fixed_lattice(gens)[1])
 
 
@@ -493,13 +494,15 @@ def test_benchmark_actions_agree_with_the_kernel_route(name):
     action = group_action(SurfaceModel("P2", (n,)), gens)
     # W(A4) has order 120, above the H^1 cap, so its H^1 is taken directly
     gens, order = action.generators, action.order
-    assert equivariant._h1(gens, order) == _kernel_h1(gens, order)
+    assert equivariant._h1(equivariant._moved_factors(gens), order) == _kernel_h1(gens, order)
     assert invariant_rank(action) == len(_fixed_lattice(gens)[1])
 
 
 @pytest.mark.parametrize("name", ACTIONS)
-def test_h1_and_the_invariant_rank_take_one_smith_reduction_each(name, monkeypatch):
-    action = group_action(SurfaceModel("P2", (ACTIONS[name][0],)), ACTIONS[name][1])
+def test_h1_and_the_invariant_rank_take_one_smith_reduction_each(name, monkeypatch, tmp_path, capsys):
+    """One reduction per action, kept for both invariants in either order,
+    and one per `group` run."""
+    n, gens = ACTIONS[name]
     calls = {"smith_normal_form": 0, "kernel_basis": 0, "solve_many": 0}
     for fn in calls:
         def counted(*args, _fn=fn, _original=getattr(intlinalg, fn)):
@@ -507,7 +510,16 @@ def test_h1_and_the_invariant_rank_take_one_smith_reduction_each(name, monkeypat
             return _original(*args)
 
         monkeypatch.setattr(intlinalg, fn, counted)
-    h1_picard(action)
+    for first, second in ((h1_picard, invariant_rank), (invariant_rank, h1_picard)):
+        action = group_action(SurfaceModel("P2", (n,)), gens)
+        calls.update(dict.fromkeys(calls, 0))
+        first(action)
+        assert calls == {"smith_normal_form": 1, "kernel_basis": 0, "solve_many": 0}
+        second(action)
+        assert calls == {"smith_normal_form": 1, "kernel_basis": 0, "solve_many": 0}
+    config = tmp_path / "action.cfg"
+    config.write_text(f"[group]\nmodel = P2[{n}]\n" + "".join(f"gen = {json.dumps(g)}\n" for g in gens))
+    calls.update(dict.fromkeys(calls, 0))
+    assert cli.main(["group", "--action", str(config)]) == 0
+    assert "H1: " in capsys.readouterr().out
     assert calls == {"smith_normal_form": 1, "kernel_basis": 0, "solve_many": 0}
-    invariant_rank(action)
-    assert calls == {"smith_normal_form": 2, "kernel_basis": 0, "solve_many": 0}

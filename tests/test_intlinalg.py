@@ -151,13 +151,6 @@ def test_inverse_fraction_and_integer():
         raise AssertionError("non-integral inverse must raise")
 
 
-def test_mat_pow_including_negative():
-    a = [[1, 1], [0, 1]]
-    assert la.mat_pow(a, 0) == la.identity(2)
-    assert la.mat_pow(a, 3) == [[1, 3], [0, 1]]
-    assert la.mat_pow(a, -2) == [[1, -2], [0, 1]]
-
-
 def test_abelian_quotient_shapes():
     assert la.abelian_quotient(2, []) == [0, 0]
     assert la.abelian_quotient(1, [[2]]) == [2]

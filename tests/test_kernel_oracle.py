@@ -150,18 +150,3 @@ def test_products_match_the_generator_sums(m, k, n, data):
     v = data.draw(_inner_length(k).flatmap(lambda size: _rows(1, size)))[0]
     assert la.mat_mul(a, b) == oracle_mul(a, b)
     assert la.mat_vec(a, v) == oracle_vec(a, v)
-
-
-@FUZZ
-@given(st.one_of(square("unimodular"), small_square()))
-def test_mat_pow_matches_the_repeated_product(a):
-    inverse = _outcome(oracle_inverse, a)
-    for k in range(-3, 8):
-        if k < 0 and inverse[0] == "error":
-            assert _outcome(la.mat_pow, a, k) == inverse, k
-            continue
-        base = inverse[1] if k < 0 else a
-        expected = la.identity(len(a))
-        for _ in range(abs(k)):
-            expected = oracle_mul(expected, base)
-        assert la.mat_pow(a, k) == expected, k

@@ -7,7 +7,10 @@ symmetry layer takes only `MoriFibreSpace` and `standard_sod` from the
 catalog.  `MoriFibreSpace` alone decides which fibre spaces exist, and
 `standard_sod` only builds.  The exact kernels of `intlinalg` stay off the
 Fraction route.  The legality check reads the flat pairings and never
-builds the Gram tuple, which the certificate record builds once.
+builds the Gram tuple, which the certificate record builds once.  Serre
+powers have one route: no module defines `mat_pow`, only
+`mutation.serre_images` and selftest criterion 5 take the Serre matrix,
+and `serre_power_match` reads `serre_images`.
 """
 
 import ast
@@ -154,3 +157,50 @@ def test_the_check_never_builds_the_gram_tuple():
     for name, node in checks.items():
         read = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
         assert "_pairings" in read and "gram" not in read, name
+
+
+def _called(node):
+    """Names of the functions `node` calls, bare or as an attribute."""
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            if isinstance(func, ast.Name):
+                yield func.id
+            elif isinstance(func, ast.Attribute):
+                yield func.attr
+
+
+def test_no_module_defines_a_matrix_power():
+    defined = [
+        module
+        for module, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "mat_pow"
+    ]
+    assert defined == []
+
+
+def test_the_serre_matrix_is_taken_by_the_serre_step_and_criterion_5_alone():
+    callers = {
+        (module, node.name)
+        for module, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and "subcategory_serre_matrix" in _called(node)
+    }
+    assert callers == {("mutation", "serre_images"), ("selftest", "criterion_5")}
+    at_module_level = [
+        module
+        for module, tree in MODULES.items()
+        for node in tree.body
+        if not isinstance(node, ast.FunctionDef) and "subcategory_serre_matrix" in _called(node)
+    ]
+    assert at_module_level == []
+
+
+def test_serre_power_match_reads_the_serre_step():
+    (match,) = [
+        node
+        for node in MODULES["mutation"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "serre_power_match"
+    ]
+    assert "serre_images" in set(_called(match))

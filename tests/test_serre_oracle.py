@@ -8,11 +8,17 @@ span check, solve_many and the walk on coordinate matrices. On a range whose
 classes form a basis of their span both routes must give the same verdict
 and the same exponent.
 
-serre_images keeps its images per (collection, range, power).
-`_former_serre_images` is its body before that memo, with the range's Gram
-block cut from `collection.gram`; on every replay state both must give the
-same vectors, and a caller's changes to a returned list must not reach
-the memo.
+serre_images is the only place the library takes a Serre power: per range
+it keeps the up and down steps and every power it reached, and steps to a
+new power from the nearest kept one.  `_former_serre_images` is its body
+before that memo, a square-and-multiply power (`_mat_pow`, the former
+`intlinalg.mat_pow`) with the range's Gram block cut from
+`collection.gram`; on every replay state and every end range, exponents
+-8..8 asked for in two seeded shuffled orders must give the same vectors,
+and a caller's changes to a returned list must not reach the memo.
+`_former_power_match` is serre_power_match before it read serre_images,
+with its own forward and backward stepping; both must give the same
+exponent, None or InputError.
 """
 
 import random
@@ -41,6 +47,27 @@ from sodatlas.mutation import (
 _SEED = 20261018
 
 
+def _mat_pow(a, k):
+    """a**k, the former `intlinalg.mat_pow`: k < 0 inverts first, then
+    square-and-multiply from the lowest set bit of k."""
+    if k < 0:
+        return _mat_pow(intlinalg.mat_inverse_integer(a), -k)
+    if k == 0:
+        return intlinalg.identity(len(a))
+    base = intlinalg.copy_matrix(a)
+    while not k & 1:
+        base = intlinalg.mat_mul(base, base)
+        k >>= 1
+    result = base
+    k >>= 1
+    while k:
+        base = intlinalg.mat_mul(base, base)
+        if k & 1:
+            result = intlinalg.mat_mul(result, base)
+        k >>= 1
+    return result
+
+
 def _range_classes(collection, rng):
     a, b = rng
     return [o.cls for blk in collection.blocks[a - 1 : b] for o in blk.objects]
@@ -66,7 +93,7 @@ def _serre_inv_on_coordinates(script, rng, power):
         return False
     sigma = intlinalg.transpose(cols)
     serre, inverse = _serre_and_inverse(script.side1, rng)
-    power_matrix = intlinalg.mat_pow(serre if power >= 0 else inverse, abs(power))
+    power_matrix = _mat_pow(serre if power >= 0 else inverse, abs(power))
     return power_matrix == [[-x for x in row] for row in sigma]
 
 
@@ -193,7 +220,7 @@ def _former_serre_matrix(collection, rng):
 
 def _former_serre_images(collection, rng, power, serre):
     """serre_images before the memo, given the range's former Serre matrix."""
-    power_t = intlinalg.transpose(intlinalg.mat_pow(serre, power))
+    power_t = intlinalg.transpose(_mat_pow(serre, power))
     return intlinalg.mat_mul(power_t, [list(c.vector) for c in _range_classes(collection, rng)])
 
 
@@ -203,35 +230,127 @@ def _end_ranges(collection):
     return sorted({(1, b) for b in range(1, n + 1)} | {(a, n) for a in range(1, n + 1)})
 
 
+_WALK = range(-8, 9)
+
+
 def test_memoised_serre_images_match_the_former_body_on_every_replay_state():
-    """The first state of each replay is the catalog's side1, whose memo a
-    script's serre move or an earlier replay may have filled; every other
-    state starts empty."""
+    """Exponents -8..8 in two seeded shuffled orders, so each power is
+    reached from a different kept one.  The first state of each replay is
+    the catalog's side1, whose memo a script's serre move or an earlier
+    replay may have filled; every other state starts empty."""
+    rand = random.Random(_SEED)
     checked = 0
     for cid in catalog_ids():
         script = link_script(cid)
         states, _ = _replay(script.side1, script.moves, cid)
         for state in states:
             for rng in _end_ranges(state):
+                # _mat_pow inverts first for k < 0; invert once per range
                 serre = _former_serre_matrix(state, rng)
-                for k in range(-3, 4):
-                    want = _former_serre_images(state, rng, k, serre)
+                signed = {1: serre, -1: intlinalg.mat_inverse_integer(serre)}
+                want = {
+                    k: _former_serre_images(state, rng, abs(k), signed[-1 if k < 0 else 1])
+                    for k in _WALK
+                }
+                for k in rand.sample(_WALK, len(_WALK)) + rand.sample(_WALK, len(_WALK)):
                     got = serre_images(state, rng, k)
-                    assert got == want, (cid, rng, k)
+                    assert got == want[k], (cid, rng, k)
                     got[0][0] += 1
                     got.append([])
-                    assert serre_images(state, rng, k) == want, (cid, rng, k)
                     checked += 1
-    assert checked > 10_000
+    assert checked > 40_000
 
 
 def test_a_range_that_is_not_unimodular_raises_on_every_call():
     plane = SurfaceModel("P2")
     twice = class_from_vector(plane, [2, 0, 0])  # chi(2O, 2O) = 4
     coll = Collection(plane, (Block((ExcObject(twice),), opaque=True),), full=False)
-    for k in (1, 1, -1, 1):
+    for k in (0, 1, 1, -1, 0, 1):
         with pytest.raises(InputError) as exc:
             serre_images(coll, (1, 1), k)
         with pytest.raises(InputError) as former:
             _former_serre_matrix(coll, (1, 1))
         assert str(exc.value) == str(former.value) == "subcategory Gram matrix is not unimodular"
+
+
+def _former_power_match(a, rng_a, b, rng_b, max_power=12):
+    """serre_power_match before it read serre_images: its own forward and
+    backward stepping, with a second inverse of the Serre matrix."""
+    sizes = [blk.size for blk in a.blocks[rng_a[0] - 1 : rng_a[1]]]
+    if sizes != [blk.size for blk in b.blocks[rng_b[0] - 1 : rng_b[1]]]:
+        return None
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+
+    def per_block(vectors):
+        normal = [_sign_normal(v) for v in vectors]
+        return [sorted(normal[at : at + size]) for at, size in zip(starts, sizes)]
+
+    target = per_block([list(c.vector) for c in _range_classes(b, rng_b)])
+    serre = subcategory_serre_matrix(a, rng_a)
+    step = intlinalg.transpose(serre)
+    step_back = intlinalg.transpose(intlinalg.mat_inverse_integer(serre))
+    forward = backward = [list(c.vector) for c in _range_classes(a, rng_a)]
+    for n_abs in range(max_power + 1):
+        tries = [(0, forward)]
+        if n_abs:
+            forward = intlinalg.mat_mul(step, forward)
+            backward = intlinalg.mat_mul(step_back, backward)
+            tries = [(n_abs, forward), (-n_abs, backward)]
+        for n, images in tries:
+            if per_block(images) == target:
+                return n
+    return None
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return "InputError", str(exc)
+
+
+_BOUNDS = (-2, -1, 0, 1, 2, 3, 12)
+
+
+def test_serre_power_match_agrees_with_its_former_body():
+    """On each serre-match post, and on shuffled Serre images of both signs
+    from an initial range of side1 and a terminal range of the post's
+    state, under bounds from -2 to 12."""
+    rand = random.Random(_SEED)
+    outcomes = set()
+    for cid, post in _posts("serre-match"):
+        script = link_script(cid)
+        states, _ = _replay(script.side1, script.moves, cid)
+        start = states[post.prefix]
+        cases = [(start, post.rng, script.side2, post.far)]
+        terminal = (post.rng[0], len(start.blocks))
+        for source, span in ((script.side1, (1, post.rng[1])), (start, terminal)):
+            for k in range(-4, 5):
+                far = _shuffled(apply_move(source, Move("serre", rng=span, power=k)), rand)
+                cases.append((source, span, far, span))
+        for case in cases:
+            for bound in _BOUNDS:
+                got = serre_power_match(*case, bound)
+                assert got == _former_power_match(*case, bound), (cid, case[1], bound)
+                outcomes.add(got)
+    assert None in outcomes and {-4, -1, 0, 1, 4} <= outcomes
+
+
+def test_serre_power_match_agrees_with_its_former_body_off_unimodular_ranges():
+    """A range that is not unimodular: mismatched shapes give None before any
+    Serre work, matched ones raise, a negative bound included; so does a
+    range out of bounds."""
+    plane = SurfaceModel("P2")
+    twice = class_from_vector(plane, [2, 0, 0])  # chi(2O, 2O) = 4
+    one = Collection(plane, (Block((ExcObject(twice),), opaque=True),), full=False)
+    pair = Collection(plane, (Block((ExcObject(twice), ExcObject(twice)), opaque=True),), full=False)
+    for bound in _BOUNDS:
+        assert serre_power_match(one, (1, 1), pair, (1, 1), bound) is None
+        assert _former_power_match(one, (1, 1), pair, (1, 1), bound) is None
+        for rng, text in (
+            ((1, 1), "subcategory Gram matrix is not unimodular"),
+            ((1, 2), "block range 1..2 out of bounds"),
+        ):
+            got = _outcome(serre_power_match, one, rng, one, rng, bound)
+            assert got == _outcome(_former_power_match, one, rng, one, rng, bound)
+            assert got == ("InputError", text)
