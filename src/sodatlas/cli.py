@@ -256,8 +256,6 @@ def _cmd_atoms(args) -> int:
     for atom in found:
         if atom.kind == "permutation":
             line = f"atom: permutation, orbit size {atom.gset.size}"
-            if atom.twist:
-                line += f", twist {atom.twist}"
         else:
             line = f"atom: opaque {atom.shape}, degree {atom.degree}"
         print(line)

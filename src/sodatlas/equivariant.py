@@ -18,9 +18,10 @@ generator sends each item comes from one image table, `_image_table`, which
 is also the stability check; divisors move by `lattice.apply_divisor_matrix`
 and K-classes by `ktheory.sigma_kclass`.  Orbits of divisor classes and of a
 block's K-classes come from one walk over that table, `_orbit_walk`, and the
-certificate's permutations are its rows.  An orbit's G-set comes from
-`_orbit_gset`, with the stabilizer of one member.  Conjugacy of stabilizers
-is tested as h.A = B.h, so the layer never inverts a matrix.
+certificate's permutations are its rows.  A transitive G-set is the same
+table restricted to one orbit, kept in a canonical numbering, so G-sets of
+one action compare by their rows and no group element is enumerated for
+them.
 
 H^1 needs only the generators and the order N = |G|.  N kills H^1(G, M), so
 the sequence 0 -> M -> M -> M/NM -> 0 of multiplication by N gives
@@ -243,55 +244,71 @@ def orbits(action: GroupAction, classes) -> tuple[tuple[DivisorClass, ...], ...]
 
 @dataclass(frozen=True)
 class TransitiveGSet:
-    """A transitive action, recorded as orbit size plus a point stabilizer.
+    """A transitive action on `size` points, recorded by where the action's
+    generators send them: `rows[t][i]` is the image of point i under
+    `generators[t]`.
 
-    `group` holds the enumerated elements of the ambient group when known;
-    with it the orbit-stabilizer count is checked and equality can test
-    stabilizer conjugacy.  Without it, comparison falls back to sizes.
+    The rows are kept in a canonical numbering: breadth-first from each
+    point in turn, generators in order, the least table.  An isomorphism of
+    G-sets carries one such numbering onto the other, so isomorphic sets of
+    one action keep equal rows.  Without rows, comparison falls back to
+    sizes.
     """
 
     size: int
-    stabilizer: frozenset | None = None
-    group: tuple[Matrix, ...] | None = None
+    rows: tuple[tuple[int, ...], ...] | None = None
+    generators: tuple[Matrix, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise InputError("a transitive G-set has positive size")
-        if self.stabilizer is not None and self.group is not None:
-            if self.size * len(self.stabilizer) != len(self.group):
-                raise InputError("orbit size times stabilizer order must be the group order")
+        if self.rows is None:
+            return
+        points = list(range(self.size))
+        if any(sorted(row) != points for row in self.rows):
+            raise InputError("G-set rows must permute the points")
+        tables = []
+        for start in points:
+            order, label = [start], {start: 0}
+            for i in order:
+                for row in self.rows:
+                    if row[i] not in label:
+                        label[row[i]] = len(order)
+                        order.append(row[i])
+            if len(order) < self.size:
+                raise InputError("G-set rows are not transitive")
+            tables.append(tuple(tuple(label[row[i]] for i in order) for row in self.rows))
+        object.__setattr__(self, "rows", min(tables))
 
 
 def gsets_equal(a: TransitiveGSet, b: TransitiveGSet) -> bool:
-    """Equal sizes and conjugate stabilizers; size-only when data is partial.
-
-    h.A.h^-1 = B exactly when h.A = B.h, which needs no inverse."""
+    """Equal sizes, and the same generators and canonical rows when both sets
+    have rows; size-only otherwise."""
     if a.size != b.size:
         return False
-    if a.stabilizer is None or b.stabilizer is None:
+    if a.rows is None or b.rows is None:
         return True
-    if a.group is None or a.group != b.group:
-        return a.stabilizer == b.stabilizer
-    for h in a.group:
-        left = frozenset(_freeze(intlinalg.mat_mul(h, s)) for s in a.stabilizer)
-        if left == frozenset(_freeze(intlinalg.mat_mul(s, h)) for s in b.stabilizer):
-            return True
-    return False
+    return a.generators == b.generators and a.rows == b.rows
 
 
-def _orbit_gset(action: GroupAction, size: int, member: DivisorClass) -> TransitiveGSet:
-    """The G-set of an orbit of `size` points, one of which is `member`."""
-    stabilizer = frozenset(
-        g for g in action.elements if apply_divisor_matrix(action.surface, g, member) == member
+def _orbit_gset(action: GroupAction, orbit) -> TransitiveGSet:
+    """The G-set of a stable orbit of divisor classes: the image table of the
+    orbit's members."""
+    images = _image_table(
+        action.generators,
+        orbit,
+        lambda d: d.coords,
+        lambda d, g: apply_divisor_matrix(action.surface, g, d),
+        "class set is not stable: generator moves {} outside the set",
     )
-    return TransitiveGSet(size, stabilizer, action.elements)
+    return TransitiveGSet(len(orbit), images, action.generators)
 
 
 def orbit_gset(action: GroupAction, classes) -> TransitiveGSet:
     parts = orbits(action, classes)
     if len(parts) != 1:
         raise ActionError(f"expected a single orbit, found {len(parts)}")
-    return _orbit_gset(action, len(parts[0]), parts[0][0])
+    return _orbit_gset(action, parts[0])
 
 
 def _reduce_terms(pairs):
@@ -361,15 +378,14 @@ def burnside_invariant(steps) -> BurnsideElement:
 class Atom:
     """One indivisible equivariant piece of a decomposition.
 
-    kind "permutation" carries a transitive G-set and an optional symbolic
-    twist label; kind "opaque" carries a shape label plus the degree of the
-    model it sits on.  `classes` is the K-class payload the piece was read
-    off from (kept for certificate assembly, ignored by equality).
+    kind "permutation" carries a transitive G-set; kind "opaque" carries a
+    shape label plus the degree of the model it sits on.  `classes` is the
+    K-class payload the piece was read off from (kept for certificate
+    assembly, ignored by equality).
     """
 
     kind: str
     gset: TransitiveGSet | None = None
-    twist: str | None = None
     shape: str | None = None
     degree: int | None = None
     classes: tuple = ()
@@ -390,17 +406,17 @@ class Atom:
         if self.kind != other.kind:
             return False
         if self.kind == "permutation":
-            return self.twist == other.twist and gsets_equal(self.gset, other.gset)
+            return gsets_equal(self.gset, other.gset)
         return self.shape == other.shape and self.degree == other.degree
 
     def __hash__(self) -> int:
         if self.kind == "permutation":
-            return hash(("permutation", self.gset.size, self.twist))
+            return hash(("permutation", self.gset.size))
         return hash(("opaque", self.shape, self.degree))
 
 
-def permutation_atom(gset: TransitiveGSet, twist: str | None = None, classes=()) -> Atom:
-    return Atom("permutation", gset=gset, twist=twist, classes=tuple(classes))
+def permutation_atom(gset: TransitiveGSet, classes=()) -> Atom:
+    return Atom("permutation", gset=gset, classes=tuple(classes))
 
 
 def opaque_atom(shape: str, degree: int, classes=()) -> Atom:
@@ -431,7 +447,7 @@ def atom_multiset(surface: SurfaceModel, action: GroupAction, contraction) -> li
 
     `contraction` lists indices of the surface's blow-up orbits to contract,
     terminated by the minimal model (a MoriFibreSpace) or the K_NEF marker.
-    Each contracted orbit yields one non-twisted permutation atom; the
+    Each contracted orbit yields one permutation atom; the
     minimal model contributes the atoms of its standard decomposition,
     split into orbits under the action, with opaque blocks kept opaque.
     """
@@ -458,7 +474,7 @@ def atom_multiset(surface: SurfaceModel, action: GroupAction, contraction) -> li
         parts = orbits(action, members)
         if len(parts) != 1:
             raise ActionError(f"blow-up orbit {i} splits under the action; not one orbit")
-        gset = _orbit_gset(action, len(parts[0]), parts[0][0])
+        gset = _orbit_gset(action, parts[0])
         payload = tuple(torsion_class(surface, e, -1) for e in parts[0])
         blown_atoms.append(permutation_atom(gset, classes=payload))
     kept = [i for i in range(len(ranges)) if i not in chosen]
@@ -488,8 +504,9 @@ def atom_multiset(surface: SurfaceModel, action: GroupAction, contraction) -> li
         )
         for orbit in _orbit_walk(images, len(pulled)):
             members = tuple(pulled[i] for i in orbit)
-            # transport keeps rank and chi, so a K-class is fixed with its c1
-            gset = _orbit_gset(action, len(members), members[0].c1)
+            # transport keeps rank and chi, so c1 tells the members apart and
+            # their c1 form the same G-set
+            gset = _orbit_gset(action, [c.c1 for c in members])
             atoms.append(permutation_atom(gset, classes=members))
     return atoms + blown_atoms
 
@@ -500,7 +517,7 @@ def permutation_basis_certificate(surface: SurfaceModel, atoms, action: GroupAct
     """Assemble the K-group basis carried by permutation atoms and verify
     every generator permutes it.
 
-    Fails loudly: any opaque or twisted atom, a payload that is not a
+    Fails loudly: any opaque atom, a payload that is not a
     Z-basis, or a generator moving a basis vector off the basis raises
     ActionError.  The certificate lists the basis and one permutation
     (with its matrix) per generator; the trivial action gets the identity
@@ -510,8 +527,6 @@ def permutation_basis_certificate(surface: SurfaceModel, atoms, action: GroupAct
     for atom in atoms:
         if atom.kind != "permutation":
             raise ActionError("permutation basis needs permutation atoms only")
-        if atom.twist is not None:
-            raise ActionError("permutation basis needs non-twisted atoms")
         if not atom.classes:
             raise ActionError("atom carries no K-class payload to assemble")
         classes.extend(atom.classes)

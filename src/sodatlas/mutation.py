@@ -765,7 +765,11 @@ def serre_power_match(
     `b` (per block, up to order and a sign per object), where S is the
     subcategory Serre matrix of the `a` range, trying N before -N through
     serre_images; None if the block shapes differ or no |N| <= max_power
-    fits.  A range that is not unimodular raises, whatever the bound."""
+    fits.  A range out of bounds or not unimodular raises, whatever the
+    bound."""
+    for coll, (lo, hi) in ((a, rng_a), (b, rng_b)):
+        if not (1 <= lo <= hi <= len(coll.blocks)):
+            raise InputError(f"block range {lo}..{hi} out of bounds")
     sizes = [blk.size for blk in a.blocks[rng_a[0] - 1 : rng_a[1]]]
     if sizes != [blk.size for blk in b.blocks[rng_b[0] - 1 : rng_b[1]]]:
         return None

@@ -244,42 +244,75 @@ def test_unstable_items_raise_the_callers_action_error(call, message):
 
 # -- transitive G-sets and the Burnside sum ------------------------------------------
 
-def test_orbit_stabilizer_count_checked():
-    a = group_action(BL2, [perm_matrix(3, {1: 2, 2: 1})])
-    with pytest.raises(InputError):
-        TransitiveGSet(3, frozenset({a.elements[0]}), a.elements)
+@pytest.mark.parametrize(
+    "size, rows, message",
+    [
+        (2, ((0, 0),), "G-set rows must permute the points"),  # not a bijection
+        (2, ((0, 1, 2),), "G-set rows must permute the points"),  # a third point
+        (3, ((1, 0),), "G-set rows must permute the points"),  # a point missing
+        (2, ((0, 1),), "G-set rows are not transitive"),  # the trivial action on two points
+        (4, ((1, 0, 3, 2), (1, 0, 2, 3)), "G-set rows are not transitive"),  # two orbits
+        (2, (), "G-set rows are not transitive"),  # no generator
+    ],
+)
+def test_gset_rows_must_be_transitive_permutations(size, rows, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        TransitiveGSet(size, rows)
 
 
-def test_orbit_gset_records_size_and_stabilizer():
+def test_gset_rows_are_kept_in_the_least_breadth_first_numbering():
+    # a 3-cycle and a transposition on three points, numbered two ways
+    a = TransitiveGSet(3, ((1, 2, 0), (1, 0, 2)))
+    b = TransitiveGSet(3, ((1, 2, 0), (0, 2, 1)))
+    assert a.rows == b.rows == ((1, 2, 0), (0, 2, 1))
+    assert TransitiveGSet(1, ()).rows == ()
+
+
+def test_orbit_gset_records_size_and_rows():
     a = group_action(BL2, [perm_matrix(3, {1: 2, 2: 1})])
     z = orbit_gset(a, BL2.exceptional_classes())
     assert z.size == 2
-    assert len(z.stabilizer) == 1
+    assert z.rows == ((1, 0),)
+    assert z.generators == a.generators
 
 
-def test_gsets_equal_by_size_when_stabilizers_missing():
+def test_gsets_equal_by_size_when_rows_missing():
     assert gsets_equal(TransitiveGSet(3), TransitiveGSet(3))
     assert not gsets_equal(TransitiveGSet(3), TransitiveGSet(2))
+    z = orbit_gset(group_action(BL3, [perm_matrix(4, {1: 2, 2: 3, 3: 1})]), BL3.exceptional_classes())
+    assert gsets_equal(z, TransitiveGSet(3)) and gsets_equal(TransitiveGSet(3), z)
 
 
-def test_conjugate_stabilizers_compare_equal():
-    # S3 permuting three basis points: the stabilizers of E1 and of E3 are
-    # different transpositions, conjugate inside the closure.
-    s3 = group_action(BL3, [perm_matrix(4, {1: 2, 2: 1}), perm_matrix(4, {2: 3, 3: 2})])
-    e1, e3 = BL3.basis_class("E1"), BL3.basis_class("E3")
-
-    def stab(d):
-        return frozenset(g for g in s3.elements if apply_divisor_matrix(BL3, g, d) == d)
-
-    a = TransitiveGSet(3, stab(e1), s3.elements)
-    b = TransitiveGSet(3, stab(e3), s3.elements)
-    assert a.stabilizer != b.stabilizer
+def test_isomorphic_orbits_compare_equal():
+    # S3 permuting three basis points: the E_i and the pencils H - E_i are
+    # isomorphic G-sets, though the first member of each in sorted order, E3
+    # and H - E1, have different stabilizers.
+    s3 = group_action(BL3, [perm_matrix(4, {1: 2, 2: 3, 3: 1}), perm_matrix(4, {1: 2, 2: 1})])
+    pencils = [BL3.basis_class("H") - e for e in BL3.exceptional_classes()]
+    a = orbit_gset(s3, BL3.exceptional_classes())
+    b = orbit_gset(s3, pencils)
+    assert orbits(s3, pencils)[0][0] == BL3.basis_class("H") - BL3.basis_class("E1")
+    assert orbits(s3, BL3.exceptional_classes())[0][0] == BL3.basis_class("E3")
     assert gsets_equal(a, b)
     assert burnside_invariant([("BlowUp", a), ("BlowDown", b)]).is_zero()
 
 
+def test_gsets_of_two_actions_compare_unequal():
+    # the same swap of E1 and E2, on two surfaces and by two generator lists
+    swap2 = group_action(BL2, [perm_matrix(3, {1: 2, 2: 1})])
+    swap3 = group_action(BL3, [perm_matrix(4, {1: 2, 2: 1})])
+    twice = group_action(BL2, [perm_matrix(3, {1: 2, 2: 1})] * 2)
+    pair = [BL3.basis_class("E1"), BL3.basis_class("E2")]
+    a, b, c = (orbit_gset(swap2, BL2.exceptional_classes()), orbit_gset(swap3, pair),
+               orbit_gset(twice, BL2.exceptional_classes()))
+    assert a.rows == b.rows == ((1, 0),) and c.rows == ((1, 0), (1, 0))
+    assert not gsets_equal(a, b) and not gsets_equal(b, a)
+    assert not gsets_equal(a, c)
+    assert not burnside_invariant([("BlowUp", a), ("BlowDown", b)]).is_zero()
+
+
 def conjugate_by_inverse(a, b, group):
-    """Former `gsets_equal` test: some h in the group with h.A.h^-1 = B."""
+    """Some h in the group with h.A.h^-1 = B."""
     for h in group:
         hinv = intlinalg.mat_inverse_integer(h)
         conj = frozenset(
@@ -290,7 +323,7 @@ def conjugate_by_inverse(a, b, group):
     return False
 
 
-# Pairs of (-1)-class stabilizers counted by (conjugate, equal orbit sizes).
+# Pairs of (-1)-classes counted by (conjugate stabilizers, equal orbit sizes).
 @pytest.mark.parametrize(
     "surface, gens, counts",
     [
@@ -306,21 +339,49 @@ def conjugate_by_inverse(a, b, group):
          {(True, True): 36, (False, True): 32, (False, False): 32}),
     ],
 )
-def test_stabilizer_conjugacy_agrees_with_conjugation_by_inverses(surface, gens, counts):
+def test_gsets_equal_agrees_with_stabilizers_conjugate_by_inverses(surface, gens, counts):
     action = group_action(surface, gens)
-    gsets = []
+    members = []
     for part in orbits(action, surface.enumerate_r_classes(-1)):
+        gset = orbit_gset(action, part)
         for d in part:
             fixed = list(d.coords)
             stab = frozenset(g for g in action.elements if intlinalg.mat_vec(g, fixed) == fixed)
-            gsets.append(TransitiveGSet(len(part), stab, action.elements))
+            members.append((gset, stab))
     verdicts = Counter()
-    for a in gsets:
-        for b in gsets:
-            expected = conjugate_by_inverse(a.stabilizer, b.stabilizer, action.elements)
+    for a, stab_a in members:
+        for b, stab_b in members:
+            expected = conjugate_by_inverse(stab_a, stab_b, action.elements)
             assert gsets_equal(a, b) == expected
             verdicts[expected, a.size == b.size] += 1
     assert verdicts == counts
+
+
+def test_atoms_and_gsets_never_read_the_group_elements():
+    """A G-set is read off the generators' image table alone."""
+
+    class Unenumerated:
+        def __init__(self, action):
+            self.surface, self.generators = action.surface, action.generators
+
+        @property
+        def elements(self):
+            raise AssertionError("the group elements were read")
+
+    for surface, action, contraction in (
+        (BL4, weyl_action(), [MoriFibreSpace(BL4, "Point")]),
+        (BL3, hexagon_action(), [MoriFibreSpace(BL3, "Point")]),
+        (BL2, group_action(BL2, [perm_matrix(3, {1: 2, 2: 1})]), [0, MoriFibreSpace(P2, "Point")]),
+        (P2, group_action(P2, []), [MoriFibreSpace(P2, "Point")]),
+    ):
+        blind = Unenumerated(action)
+        expected = atom_multiset(surface, action, contraction)
+        got = atom_multiset(surface, blind, contraction)
+        assert [(a.kind, a.gset, a.classes) for a in got] == [
+            (a.kind, a.gset, a.classes) for a in expected
+        ]
+        for part in orbits(action, surface.enumerate_r_classes(-1)):
+            assert orbit_gset(blind, part) == orbit_gset(action, part)
 
 
 def test_burnside_of_empty_list_is_zero():
@@ -359,7 +420,7 @@ def test_burnside_rejects_unknown_step_kinds():
 def test_atoms_of_plane_blown_at_one_free_orbit():
     c3 = group_action(BL3, [perm_matrix(4, {1: 2, 2: 3, 3: 1})])
     atoms = atom_multiset(BL3, c3, [0, MoriFibreSpace(P2, "Point")])
-    assert all(a.kind == "permutation" and a.twist is None for a in atoms)
+    assert all(a.kind == "permutation" for a in atoms)
     assert sorted(a.gset.size for a in atoms) == [1, 1, 1, 3]
     # the blown atom is torsion supported on the orbit
     blown = [a for a in atoms if a.gset.size == 3][0]
@@ -377,7 +438,6 @@ def test_atoms_of_degree_five_model_under_the_weyl_action():
     a = weyl_action()
     atoms = atom_multiset(BL4, a, [MoriFibreSpace(BL4, "Point")])
     assert [x.gset.size for x in atoms] == [1, 5, 1]
-    assert all(x.twist is None for x in atoms)
 
 
 def test_atoms_of_k_nef_marker():
@@ -392,7 +452,7 @@ def test_atom_difference_of_two_presentations_is_permutation_only():
     via_plane = Counter(atom_multiset(BL3, c3, [0, MoriFibreSpace(P2, "Point")]))
     direct = Counter(atom_multiset(BL3, c3, [MoriFibreSpace(BL3, "Point")]))
     difference = (via_plane - direct) + (direct - via_plane)
-    assert all(a.kind == "permutation" and a.twist is None for a in difference)
+    assert all(a.kind == "permutation" for a in difference)
 
 
 def test_atoms_reject_an_orbit_the_action_splits():
@@ -528,14 +588,6 @@ def test_certificate_rejects_opaque_atoms():
     atoms = atom_multiset(s5, triv, [MoriFibreSpace(s5, "Point")])
     with pytest.raises(ActionError):
         permutation_basis_certificate(s5, atoms, triv)
-
-
-def test_certificate_rejects_twisted_atoms():
-    triv = group_action(P2, [])
-    atoms = atom_multiset(P2, triv, [MoriFibreSpace(P2, "Point")])
-    twisted = [permutation_atom(a.gset, twist="w", classes=a.classes) for a in atoms]
-    with pytest.raises(ActionError):
-        permutation_basis_certificate(P2, twisted, triv)
 
 
 def test_certificate_rejects_an_incomplete_basis():

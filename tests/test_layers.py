@@ -10,7 +10,9 @@ Fraction route.  The legality check reads the flat pairings and never
 builds the Gram tuple, which the certificate record builds once.  Serre
 powers have one route: no module defines `mat_pow`, only
 `mutation.serre_images` and selftest criterion 5 take the Serre matrix,
-and `serre_power_match` reads `serre_images`.
+and `serre_power_match` reads `serre_images`.  A G-set is built and
+compared without `intlinalg`: it is its generators' permutation of its
+points, so no matrix product enters.
 """
 
 import ast
@@ -204,3 +206,18 @@ def test_serre_power_match_reads_the_serre_step():
         if isinstance(node, ast.FunctionDef) and node.name == "serre_power_match"
     ]
     assert "serre_images" in set(_called(match))
+
+
+def test_gsets_are_built_and_compared_without_intlinalg():
+    kernels = {node.name for node in MODULES["intlinalg"].body if isinstance(node, ast.FunctionDef)}
+    gsets = {
+        node.name: node
+        for node in MODULES["equivariant"].body
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        and node.name in ("TransitiveGSet", "gsets_equal")
+    }
+    assert sorted(gsets) == ["TransitiveGSet", "gsets_equal"]
+    for name, node in gsets.items():
+        read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        assert "intlinalg" not in read, name
+        assert not set(_called(node)) & kernels, name

@@ -18,7 +18,9 @@ before that memo, a square-and-multiply power (`_mat_pow`, the former
 and a caller's changes to a returned list must not reach the memo.
 `_former_power_match` is serre_power_match before it read serre_images,
 with its own forward and backward stepping; both must give the same
-exponent, None or InputError.
+exponent, None or InputError on ranges inside both collections.  A range
+outside its collection raises before the shapes are compared, where the
+former body read it as a clipped slice.
 """
 
 import random
@@ -354,3 +356,23 @@ def test_serre_power_match_agrees_with_its_former_body_off_unimodular_ranges():
             got = _outcome(serre_power_match, one, rng, one, rng, bound)
             assert got == _outcome(_former_power_match, one, rng, one, rng, bound)
             assert got == ("InputError", text)
+
+
+@pytest.mark.parametrize(
+    "rng_a, rng_b, text",
+    [
+        ((1, 1), (3, 6), "block range 3..6 out of bounds"),
+        ((1, 1), (0, 1), "block range 0..1 out of bounds"),
+        ((1, 1), (2, 1), "block range 2..1 out of bounds"),
+        ((0, 1), (1, 1), "block range 0..1 out of bounds"),
+    ],
+)
+def test_serre_power_match_refuses_a_range_out_of_bounds(rng_a, rng_b, text):
+    """On II-3-2-3 (block sizes 1, 8, 1) the former body compared these
+    ranges as clipped slices and returned None."""
+    side1 = link_script("II-3-2-3").side1
+    assert [blk.size for blk in side1.blocks] == [1, 8, 1]
+    assert _former_power_match(side1, rng_a, side1, rng_b) is None
+    with pytest.raises(InputError) as caught:
+        serre_power_match(side1, rng_a, side1, rng_b)
+    assert str(caught.value) == text
