@@ -18,10 +18,10 @@ generator sends each item comes from one image table, `_image_table`, which
 is also the stability check; divisors move by `lattice.apply_divisor_matrix`
 and K-classes by `ktheory.sigma_kclass`.  Orbits of divisor classes and of a
 block's K-classes come from one walk over that table, `_orbit_walk`, and the
-certificate's permutations are its rows.  A transitive G-set is the same
-table restricted to one orbit, kept in a canonical numbering, so G-sets of
-one action compare by their rows and no group element is enumerated for
-them.
+certificate's permutations are its rows.  `_split` splits a stable class set
+once: its sorted classes, their table and its orbits.  A transitive G-set is
+a table restricted to one orbit (`_restrict`), in a canonical numbering, so
+G-sets of one action compare by rows and no group element is enumerated.
 
 H^1 needs only the generators and the order N = |G|.  N kills H^1(G, M), so
 the sequence 0 -> M -> M -> M/NM -> 0 of multiplication by N gives
@@ -225,8 +225,9 @@ def _orbit_walk(images, n: int) -> list[list[int]]:
     return parts
 
 
-def orbits(action: GroupAction, classes) -> tuple[tuple[DivisorClass, ...], ...]:
-    """Orbit partition of a stable class set, deterministically ordered."""
+def _split(action: GroupAction, classes):
+    """A stable class set split once: its classes sorted by coordinates, their
+    image table, and its orbits as sorted position lists, least first."""
     pool = sorted(set(classes), key=lambda d: d.coords)
     images = _image_table(
         action.generators,
@@ -235,9 +236,13 @@ def orbits(action: GroupAction, classes) -> tuple[tuple[DivisorClass, ...], ...]
         lambda d, g: apply_divisor_matrix(action.surface, g, d),
         "class set is not stable: generator moves {} outside the set",
     )
-    return tuple(
-        tuple(pool[i] for i in sorted(orbit)) for orbit in _orbit_walk(images, len(pool))
-    )
+    return pool, images, list(map(sorted, _orbit_walk(images, len(pool))))
+
+
+def orbits(action: GroupAction, classes) -> tuple[tuple[DivisorClass, ...], ...]:
+    """Orbit partition of a stable class set, deterministically ordered."""
+    pool, _, parts = _split(action, classes)
+    return tuple(tuple(pool[i] for i in orbit) for orbit in parts)
 
 
 # -- transitive G-sets and the Burnside sum -----------------------------------
@@ -291,24 +296,19 @@ def gsets_equal(a: TransitiveGSet, b: TransitiveGSet) -> bool:
     return a.generators == b.generators and a.rows == b.rows
 
 
-def _orbit_gset(action: GroupAction, orbit) -> TransitiveGSet:
-    """The G-set of a stable orbit of divisor classes: the image table of the
-    orbit's members."""
-    images = _image_table(
-        action.generators,
-        orbit,
-        lambda d: d.coords,
-        lambda d, g: apply_divisor_matrix(action.surface, g, d),
-        "class set is not stable: generator moves {} outside the set",
-    )
-    return TransitiveGSet(len(orbit), images, action.generators)
+def _restrict(action: GroupAction, images, orbit) -> TransitiveGSet:
+    """The G-set of one orbit of an image table: the table's rows on the
+    orbit's points, each point renumbered to its position in `orbit`."""
+    position = dict(zip(orbit, range(len(orbit))))
+    rows = tuple(tuple(map(position.__getitem__, map(row.__getitem__, orbit))) for row in images)
+    return TransitiveGSet(len(orbit), rows, action.generators)
 
 
 def orbit_gset(action: GroupAction, classes) -> TransitiveGSet:
-    parts = orbits(action, classes)
+    _, images, parts = _split(action, classes)
     if len(parts) != 1:
         raise ActionError(f"expected a single orbit, found {len(parts)}")
-    return _orbit_gset(action, parts[0])
+    return _restrict(action, images, parts[0])
 
 
 def _reduce_terms(pairs):
@@ -471,12 +471,11 @@ def atom_multiset(surface: SurfaceModel, action: GroupAction, contraction) -> li
     blown_atoms = []
     for i in chosen:
         members = [surface.basis_class(f"E{j - surface.base_rank + 1}") for j in ranges[i]]
-        parts = orbits(action, members)
+        pool, images, parts = _split(action, members)
         if len(parts) != 1:
             raise ActionError(f"blow-up orbit {i} splits under the action; not one orbit")
-        gset = _orbit_gset(action, parts[0])
-        payload = tuple(torsion_class(surface, e, -1) for e in parts[0])
-        blown_atoms.append(permutation_atom(gset, classes=payload))
+        payload = tuple(torsion_class(surface, e, -1) for e in pool)
+        blown_atoms.append(permutation_atom(_restrict(action, images, parts[0]), classes=payload))
     kept = [i for i in range(len(ranges)) if i not in chosen]
     residual = SurfaceModel(surface.base, tuple(surface.blowup_orbits[i] for i in kept))
     cols = _embedding_columns(surface, kept)
@@ -504,10 +503,7 @@ def atom_multiset(surface: SurfaceModel, action: GroupAction, contraction) -> li
         )
         for orbit in _orbit_walk(images, len(pulled)):
             members = tuple(pulled[i] for i in orbit)
-            # transport keeps rank and chi, so c1 tells the members apart and
-            # their c1 form the same G-set
-            gset = _orbit_gset(action, [c.c1 for c in members])
-            atoms.append(permutation_atom(gset, classes=members))
+            atoms.append(permutation_atom(_restrict(action, images, orbit), classes=members))
     return atoms + blown_atoms
 
 
@@ -605,10 +601,12 @@ def h1_lattice(generators) -> list[int]:
     Pure lattice arithmetic: no surface, no form or K constraint, so it also
     serves actions that no surface model can host.  The generators must be
     square matrices of one size; the closure, capped at DEFAULT_H1_CAP
-    elements, supplies only the order.
+    elements, supplies only the order.  No generator is the trivial group.
     """
     generators = tuple(_freeze(g) for g in generators)
-    n = len(generators[0]) if generators else 0
+    if not generators:
+        return []
+    n = len(generators[0])
     if any(len(g) != n or any(len(row) != n for row in g) for g in generators):
         raise InputError(f"generator is not a {n}x{n} matrix")
     return _h1(_moved_factors(generators), len(_close(generators, DEFAULT_H1_CAP)))

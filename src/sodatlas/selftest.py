@@ -55,6 +55,7 @@ from .lattice import SurfaceModel
 from .mutation import (
     VERDICT_OK,
     Move,
+    MoveError,
     apply_move,
     collection_of_classes,
     search_path,
@@ -315,7 +316,7 @@ def criterion_7() -> str:
         try:
             once = apply_move(coll, Move("L", index=i))
             back = apply_move(once, Move("R", index=i - 1))
-        except Exception:
+        except MoveError:
             continue
         _ensure(
             back == coll,

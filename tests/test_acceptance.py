@@ -38,3 +38,15 @@ def test_criterion(number, name, check):
     detail = check()
     print(f"PASS {number:2d} {name}: {detail}")
     assert _TIMING.sub("<t>", detail) == DETAILS[number]
+
+
+def test_mutation_group_laws_skip_only_refused_moves(monkeypatch):
+    """Criterion 7 skips a site whose move raises MoveError; any other fault
+    in the move step comes out of the check."""
+
+    def broken(coll, move):
+        raise TypeError("a fault in the move step")
+
+    monkeypatch.setattr(selftest, "apply_move", broken)
+    with pytest.raises(TypeError, match="^a fault in the move step$"):
+        selftest.criterion_7()

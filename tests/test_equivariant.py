@@ -690,6 +690,11 @@ def test_h1_lattice_of_the_0x0_generator_vanishes():
     assert h1_lattice([[]]) == []
 
 
+def test_h1_lattice_with_no_generator_vanishes():
+    # no generator is the trivial group, as for h1_picard of an action without one
+    assert h1_lattice([]) == [] == h1_picard(group_action(BL2, []))
+
+
 def test_h1_cap_is_enforced():
     with pytest.raises(UnsupportedRangeError):
         h1_picard(weyl_action())

@@ -8,6 +8,11 @@ G-sets of one group are isomorphic exactly when some h in the group has
 h.A = B.h for their stabilizers A and B (Holt, Eick and O'Brien, *Handbook
 of Computational Group Theory*, ch. 4).  The exact orbit-stabilizer count,
 which the library no longer makes, is checked here on every orbit.
+
+The library also reads a G-set off the image table its orbit split built,
+restricted to the orbit.  The former route, which rebuilt the table from the
+orbit's members and, for a block orbit, from their c1, is kept here as the
+reference, and the number of divisor transports is pinned.
 """
 
 from itertools import combinations_with_replacement
@@ -16,8 +21,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from test_h1_oracle import ACTIONS, S4_P2_4, WEYL_A4_P2_4, weyl_caps, weyl_subgroups  # noqa: F401
 
-from sodatlas import intlinalg
-from sodatlas.equivariant import group_action, gsets_equal, orbit_gset, orbits
+from test_equivariant import BL2, BL3, BL4, F0, P2, hexagon_action, perm_matrix, weyl_action
+
+from sodatlas import equivariant, intlinalg, ktheory
+from sodatlas.catalog.core import MoriFibreSpace
+from sodatlas.equivariant import (
+    K_NEF,
+    TransitiveGSet,
+    atom_multiset,
+    group_action,
+    gsets_equal,
+    orbit_gset,
+    orbits,
+)
+from sodatlas.errors import ActionError
 from sodatlas.lattice import SurfaceModel, apply_divisor_matrix
 
 
@@ -113,3 +130,122 @@ def test_weyl_subgroups_agree_with_stabilizer_conjugacy(weyl_caps, case):  # noq
     action = group_action(surface, gens)
     members = orbit_members(action, surface.enumerate_r_classes(-1), every_member=False)
     compare_pairs(action, members)
+
+
+# -- the G-set restricted from the split's table -------------------------------
+
+def former_gset(action, orbit):
+    """The former `_orbit_gset`: the image table rebuilt from the orbit's
+    members, each moved again by every generator."""
+    index = {d.coords: i for i, d in enumerate(orbit)}
+    rows = [
+        [index[apply_divisor_matrix(action.surface, g, d).coords] for d in orbit]
+        for g in action.generators
+    ]
+    return TransitiveGSet(len(orbit), rows, action.generators)
+
+
+GROUP_ACTIONS = {**ACTIONS, "s4-p2-4": S4_P2_4, "weyl-a4-p2-4": WEYL_A4_P2_4}
+
+
+@pytest.mark.parametrize("name", GROUP_ACTIONS)
+def test_orbit_gsets_equal_the_rebuilt_table(name):
+    n, gens = GROUP_ACTIONS[name]
+    surface = SurfaceModel("P2", (n,))
+    action = group_action(surface, gens)
+    for part in orbits(action, surface.enumerate_r_classes(-1)):
+        got, expected = orbit_gset(action, part), former_gset(action, part)
+        assert (got.size, got.rows, got.generators) == (
+            expected.size,
+            expected.rows,
+            expected.generators,
+        )
+
+
+def _swap_on_bl2():
+    return group_action(BL2, [perm_matrix(3, {1: 2, 2: 1})])
+
+
+def _cyclic_on_bl3():
+    return group_action(BL3, [perm_matrix(4, {1: 2, 2: 3, 3: 1})])
+
+
+def _trivial(surface):
+    return group_action(surface, [])
+
+
+S5 = SurfaceModel("P2", (5,))
+S9 = SurfaceModel("P2", (9,))
+F0_11 = SurfaceModel("F0", (1, 1))
+RULING = MoriFibreSpace(F0, "RationalCurve", fibration_class=F0.basis_class("h"))
+
+# The contractions `atom_multiset` is called on in tests/test_equivariant.py.
+ATOM_CASES = {
+    "c3-blown-to-plane": (BL3, _cyclic_on_bl3, [0, MoriFibreSpace(P2, "Point")]),
+    "c3-direct": (BL3, _cyclic_on_bl3, [MoriFibreSpace(BL3, "Point")]),
+    "degree-four": (S5, lambda: _trivial(S5), [MoriFibreSpace(S5, "Point")]),
+    "weyl-degree-five": (BL4, weyl_action, [MoriFibreSpace(BL4, "Point")]),
+    "k-nef": (S9, lambda: _trivial(S9), [K_NEF]),
+    "swap-blown-pair": (BL2, _swap_on_bl2, [0, MoriFibreSpace(P2, "Point")]),
+    "hexagon": (BL3, hexagon_action, [MoriFibreSpace(BL3, "Point")]),
+    "plane": (P2, lambda: _trivial(P2), [MoriFibreSpace(P2, "Point")]),
+    "ruled-two-blown": (F0_11, lambda: _trivial(F0_11), [0, 1, RULING]),
+}
+
+
+@pytest.mark.parametrize("name", ATOM_CASES)
+def test_atom_gsets_equal_the_rebuilt_table(name):
+    """Blown atoms carry their (-1)-classes as c1, and a block orbit's
+    members are told apart by c1, as transport keeps rank and chi: so the
+    former route rebuilt every atom's table from the c1 of its payload."""
+    surface, make, contraction = ATOM_CASES[name]
+    action = make()
+    for atom in atom_multiset(surface, action, contraction):
+        if atom.kind != "permutation":
+            continue
+        got, expected = atom.gset, former_gset(action, [c.c1 for c in atom.classes])
+        assert (got.size, got.rows, got.generators) == (
+            expected.size,
+            expected.rows,
+            expected.generators,
+        )
+
+
+@pytest.fixture
+def transports(monkeypatch):
+    """Counts divisor transports, direct or through `sigma_kclass`."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return apply_divisor_matrix(*args)
+
+    for module in (equivariant, ktheory):
+        monkeypatch.setattr(module, "apply_divisor_matrix", counted)
+    return calls
+
+
+def _weyl_a4():
+    n, gens = WEYL_A4_P2_4
+    surface = SurfaceModel("P2", (n,))
+    return surface, group_action(surface, gens)
+
+
+def test_orbit_gset_moves_each_class_once_per_generator(transports):
+    surface, action = _weyl_a4()
+    minus = surface.enumerate_r_classes(-1)
+    transports.clear()
+    orbit_gset(action, minus)
+    assert len(transports) == 4 * 10  # four generators, ten (-1)-classes
+
+
+def test_atoms_move_each_class_once_per_generator(transports):
+    surface, action = _weyl_a4()
+    transports.clear()
+    atom_multiset(surface, action, [MoriFibreSpace(surface, "Point")])
+    assert len(transports) == 4 * 7  # four generators, one block orbit of 5 and two of 1
+
+
+def test_orbit_gset_refuses_two_orbits():
+    with pytest.raises(ActionError, match="^expected a single orbit, found 2$"):
+        orbit_gset(_trivial(BL2), BL2.exceptional_classes())

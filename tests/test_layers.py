@@ -12,7 +12,10 @@ powers have one route: no module defines `mat_pow`, only
 `mutation.serre_images` and selftest criterion 5 take the Serre matrix,
 and `serre_power_match` reads `serre_images`.  A G-set is built and
 compared without `intlinalg`: it is its generators' permutation of its
-points, so no matrix product enters.
+points, so no matrix product enters.  A stable class set is split once:
+the one `_image_table` call that moves divisors builds the table that the
+orbits and every G-set read, and only the restriction to an orbit builds a
+G-set with rows.
 """
 
 import ast
@@ -221,3 +224,45 @@ def test_gsets_are_built_and_compared_without_intlinalg():
         read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
         assert "intlinalg" not in read, name
         assert not set(_called(node)) & kernels, name
+
+
+def _calls(module, callee):
+    """(enclosing module-level definition or None, call) for each call of
+    `callee` in `module`, bare or as an attribute."""
+    for top in MODULES[module].body:
+        for call in ast.walk(top):
+            if isinstance(call, ast.Call) and callee in (
+                getattr(call.func, "id", None),
+                getattr(call.func, "attr", None),
+            ):
+                yield getattr(top, "name", None), call
+
+
+def test_no_module_defines_a_second_gset_builder():
+    defined = [
+        module
+        for module, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_orbit_gset"
+    ]
+    assert defined == []
+
+
+def test_divisors_reach_the_image_table_from_one_call_site():
+    sites = [
+        name
+        for name, call in _calls("equivariant", "_image_table")
+        if "apply_divisor_matrix" in {n.id for n in ast.walk(call) if isinstance(n, ast.Name)}
+    ]
+    assert sites == ["_split"]
+
+
+def test_gsets_with_rows_are_built_only_by_the_restriction():
+    """The restriction passes size, rows and generators; `invariant` builds
+    size-only sets."""
+    built = sorted(
+        (module, name, len(call.args) + len(call.keywords))
+        for module in MODULES
+        for name, call in _calls(module, "TransitiveGSet")
+    )
+    assert built == [("cli", "_cmd_invariant", 1), ("equivariant", "_restrict", 3)]
