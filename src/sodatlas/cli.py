@@ -28,7 +28,6 @@ from .catalog.core import MoriFibreSpace, standard_sod
 from .catalog.scripts import catalog_ids, parse_side, verify_link
 from .equivariant import (
     K_NEF,
-    TransitiveGSet,
     atom_multiset,
     burnside_invariant,
     group_action,
@@ -271,12 +270,12 @@ def _cmd_invariant(args) -> int:
             size = _parse_int(text)
             if size < 1:
                 raise InputError(f"orbit size {size} must be positive")
-            steps.append((kind, TransitiveGSet(size)))
+            steps.append((kind, size))
     element = burnside_invariant(steps)
     if element.is_zero():
         print("0")
     else:
-        print(" ".join(f"{c:+d}*[orbit {g.size}]" for c, g in element.terms))
+        print(" ".join(f"{c:+d}*[orbit {size}]" for c, size in element.terms))
     return 0
 
 

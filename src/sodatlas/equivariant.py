@@ -21,7 +21,7 @@ block's K-classes come from one walk over that table, `_orbit_walk`, and the
 certificate's permutations are its rows.  `_split` splits a stable class set
 once: its sorted classes, their table and its orbits.  A transitive G-set is
 a table restricted to one orbit (`_restrict`), in a canonical numbering, so
-G-sets of one action compare by rows and no group element is enumerated.
+isomorphic G-sets of one action are `==` and no group element is enumerated.
 
 H^1 needs only the generators and the order N = |G|.  N kills H^1(G, M), so
 the sequence 0 -> M -> M -> M/NM -> 0 of multiplication by N gives
@@ -38,7 +38,7 @@ cost one Smith reduction of an |S|.n x n matrix, whatever the group order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from math import gcd
 from operator import mul
@@ -256,19 +256,16 @@ class TransitiveGSet:
     The rows are kept in a canonical numbering: breadth-first from each
     point in turn, generators in order, the least table.  An isomorphism of
     G-sets carries one such numbering onto the other, so isomorphic sets of
-    one action keep equal rows.  Without rows, comparison falls back to
-    sizes.
+    one action keep equal rows and compare `==` (size, rows, generators).
     """
 
     size: int
-    rows: tuple[tuple[int, ...], ...] | None = None
+    rows: tuple[tuple[int, ...], ...]
     generators: tuple[Matrix, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise InputError("a transitive G-set has positive size")
-        if self.rows is None:
-            return
         points = list(range(self.size))
         if any(sorted(row) != points for row in self.rows):
             raise InputError("G-set rows must permute the points")
@@ -286,16 +283,6 @@ class TransitiveGSet:
         object.__setattr__(self, "rows", min(tables))
 
 
-def gsets_equal(a: TransitiveGSet, b: TransitiveGSet) -> bool:
-    """Equal sizes, and the same generators and canonical rows when both sets
-    have rows; size-only otherwise."""
-    if a.size != b.size:
-        return False
-    if a.rows is None or b.rows is None:
-        return True
-    return a.generators == b.generators and a.rows == b.rows
-
-
 def _restrict(action: GroupAction, images, orbit) -> TransitiveGSet:
     """The G-set of one orbit of an image table: the table's rows on the
     orbit's points, each point renumbered to its position in `orbit`."""
@@ -311,37 +298,23 @@ def orbit_gset(action: GroupAction, classes) -> TransitiveGSet:
     return _restrict(action, images, parts[0])
 
 
-def _reduce_terms(pairs):
-    out = []
-    for coeff, gset in pairs:
-        if coeff == 0:
-            continue
-        for entry in out:
-            if gsets_equal(entry[1], gset):
-                entry[0] += coeff
-                break
-        else:
-            out.append([coeff, gset])
-    return tuple((c, g) for c, g in out if c != 0)
-
-
 @dataclass(frozen=True, eq=False)
 class BurnsideElement:
-    """Signed formal sum of transitive G-sets; construction cancels."""
+    """Signed formal sum of orbits, any hashable values: construction sums
+    equal orbits, drops zeros and keeps first-appearance order; `==` does
+    not see term order."""
 
     terms: tuple = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", _reduce_terms(self.terms))
+        sums: dict = {}
+        for coeff, orbit in self.terms:
+            if coeff:
+                sums[orbit] = sums.get(orbit, 0) + coeff
+        object.__setattr__(self, "terms", tuple((c, g) for g, c in sums.items() if c))
 
     def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
         return BurnsideElement(self.terms + other.terms)
-
-    def __neg__(self) -> "BurnsideElement":
-        return BurnsideElement(tuple((-c, g) for c, g in self.terms))
-
-    def __sub__(self, other: "BurnsideElement") -> "BurnsideElement":
-        return self + (-other)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -349,17 +322,18 @@ class BurnsideElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BurnsideElement):
             return NotImplemented
-        return (self - other).is_zero()
+        return frozenset(self.terms) == frozenset(other.terms)
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted((c, g.size) for c, g in self.terms)))
+        return hash(frozenset(self.terms))
 
 
 def burnside_invariant(steps) -> BurnsideElement:
     """Signed orbit sum of a blow-up/blow-down chain.
 
     Each step is a pair (kind, orbit) with kind "BlowUp" or "BlowDown"; a
-    blow-down contributes the orbit positively, a blow-up negatively.
+    blow-down contributes the orbit positively, a blow-up negatively.  An
+    orbit is a TransitiveGSet, or its size alone where no group acts.
     """
     terms = []
     for kind, orbit in steps:
@@ -374,21 +348,21 @@ def burnside_invariant(steps) -> BurnsideElement:
 
 # -- atoms ---------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Atom:
     """One indivisible equivariant piece of a decomposition.
 
     kind "permutation" carries a transitive G-set; kind "opaque" carries a
     shape label plus the degree of the model it sits on.  `classes` is the
     K-class payload the piece was read off from (kept for certificate
-    assembly, ignored by equality).
+    assembly, ignored by `==` and the hash).
     """
 
     kind: str
     gset: TransitiveGSet | None = None
     shape: str | None = None
     degree: int | None = None
-    classes: tuple = ()
+    classes: tuple = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if self.kind == "permutation":
@@ -399,20 +373,6 @@ class Atom:
                 raise InputError("opaque atoms need a shape label")
         else:
             raise InputError(f"unknown atom kind {self.kind!r}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Atom):
-            return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if self.kind == "permutation":
-            return gsets_equal(self.gset, other.gset)
-        return self.shape == other.shape and self.degree == other.degree
-
-    def __hash__(self) -> int:
-        if self.kind == "permutation":
-            return hash(("permutation", self.gset.size))
-        return hash(("opaque", self.shape, self.degree))
 
 
 def permutation_atom(gset: TransitiveGSet, classes=()) -> Atom:
@@ -595,20 +555,28 @@ def _h1(factors: list[int], order: int) -> list[int]:
     return [f for f in (gcd(order, d) for d in factors) if f > 1]
 
 
+def _check_generators(generators) -> None:
+    """Square matrices of one size, invertible over Z: closure and powers of
+    a singular matrix give a monoid or run on to the cap."""
+    n = len(generators[0])
+    if any(len(g) != n or any(len(row) != n for row in g) for g in generators):
+        raise InputError(f"generator is not a {n}x{n} matrix")
+    if any(abs(intlinalg.det(g)) != 1 for g in generators):
+        raise InputError("generator is not invertible over Z (determinant is not 1 or -1)")
+
+
 def h1_lattice(generators) -> list[int]:
     """Invariant factors of H^1 for a matrix group given by generators.
 
     Pure lattice arithmetic: no surface, no form or K constraint, so it also
     serves actions that no surface model can host.  The generators must be
-    square matrices of one size; the closure, capped at DEFAULT_H1_CAP
+    unimodular matrices of one size; the closure, capped at DEFAULT_H1_CAP
     elements, supplies only the order.  No generator is the trivial group.
     """
     generators = tuple(_freeze(g) for g in generators)
     if not generators:
         return []
-    n = len(generators[0])
-    if any(len(g) != n or any(len(row) != n for row in g) for g in generators):
-        raise InputError(f"generator is not a {n}x{n} matrix")
+    _check_generators(generators)
     return _h1(_moved_factors(generators), len(_close(generators, DEFAULT_H1_CAP)))
 
 
@@ -627,9 +595,8 @@ def h1_cyclic(generator) -> list[int]:
     Independent route to H^1 for cyclic groups; `_h1` must agree.
     """
     g = _freeze(generator)
+    _check_generators([g])
     n = len(g)
-    if any(len(row) != n for row in g):
-        raise InputError(f"generator is not a {n}x{n} matrix")
     one = _identity(n)
     powers = [one]
     p = g

@@ -429,6 +429,14 @@ def test_invariant_single_blow_up(tmp_path, capsys):
     code, out, _ = run(capsys, "invariant", "--steps", str(f))
     assert code == 0 and out == "-1*[orbit 2]\n"
 
+def test_invariant_keeps_first_appearance_order_under_partial_cancellation(tmp_path, capsys):
+    # blow-ups are read first: orbit 3 cancels in part and keeps its place, 2 cancels
+    f = tmp_path / "steps.cfg"
+    f.write_text("[steps]\n" + "".join(f"blowup = {n}\n" for n in (3, 2, 1))
+                 + "".join(f"blowdown = {n}\n" for n in (2, 5, 3, 3)))
+    code, out, _ = run(capsys, "invariant", "--steps", str(f))
+    assert code == 0 and out == "+1*[orbit 3] -1*[orbit 1] +1*[orbit 5]\n"
+
 def test_invariant_rejects_nonpositive_size(tmp_path, capsys):
     f = tmp_path / "steps.cfg"
     f.write_text("[steps]\nblowup = 0\n")

@@ -16,7 +16,6 @@ from sodatlas.equivariant import (
     atom_multiset,
     burnside_invariant,
     group_action,
-    gsets_equal,
     h1_cyclic,
     h1_lattice,
     h1_picard,
@@ -276,13 +275,6 @@ def test_orbit_gset_records_size_and_rows():
     assert z.generators == a.generators
 
 
-def test_gsets_equal_by_size_when_rows_missing():
-    assert gsets_equal(TransitiveGSet(3), TransitiveGSet(3))
-    assert not gsets_equal(TransitiveGSet(3), TransitiveGSet(2))
-    z = orbit_gset(group_action(BL3, [perm_matrix(4, {1: 2, 2: 3, 3: 1})]), BL3.exceptional_classes())
-    assert gsets_equal(z, TransitiveGSet(3)) and gsets_equal(TransitiveGSet(3), z)
-
-
 def test_isomorphic_orbits_compare_equal():
     # S3 permuting three basis points: the E_i and the pencils H - E_i are
     # isomorphic G-sets, though the first member of each in sorted order, E3
@@ -293,7 +285,7 @@ def test_isomorphic_orbits_compare_equal():
     b = orbit_gset(s3, pencils)
     assert orbits(s3, pencils)[0][0] == BL3.basis_class("H") - BL3.basis_class("E1")
     assert orbits(s3, BL3.exceptional_classes())[0][0] == BL3.basis_class("E3")
-    assert gsets_equal(a, b)
+    assert a == b and hash(a) == hash(b)
     assert burnside_invariant([("BlowUp", a), ("BlowDown", b)]).is_zero()
 
 
@@ -306,8 +298,8 @@ def test_gsets_of_two_actions_compare_unequal():
     a, b, c = (orbit_gset(swap2, BL2.exceptional_classes()), orbit_gset(swap3, pair),
                orbit_gset(twice, BL2.exceptional_classes()))
     assert a.rows == b.rows == ((1, 0),) and c.rows == ((1, 0), (1, 0))
-    assert not gsets_equal(a, b) and not gsets_equal(b, a)
-    assert not gsets_equal(a, c)
+    assert a != b and b != a
+    assert a != c
     assert not burnside_invariant([("BlowUp", a), ("BlowDown", b)]).is_zero()
 
 
@@ -352,7 +344,7 @@ def test_gsets_equal_agrees_with_stabilizers_conjugate_by_inverses(surface, gens
     for a, stab_a in members:
         for b, stab_b in members:
             expected = conjugate_by_inverse(stab_a, stab_b, action.elements)
-            assert gsets_equal(a, b) == expected
+            assert (a == b) == expected
             verdicts[expected, a.size == b.size] += 1
     assert verdicts == counts
 
@@ -412,7 +404,7 @@ def test_burnside_additive_under_concatenation():
 
 def test_burnside_rejects_unknown_step_kinds():
     with pytest.raises(InputError):
-        burnside_invariant([("Flip", TransitiveGSet(1))])
+        burnside_invariant([("Flip", TransitiveGSet(1, ()))])
 
 
 # -- atoms -------------------------------------------------------------------------
@@ -480,9 +472,9 @@ def test_atoms_need_a_terminal_marker():
 
 
 def test_atom_equality_ignores_the_class_payload():
-    a = permutation_atom(TransitiveGSet(2), classes=())
-    b = permutation_atom(TransitiveGSet(2), classes=(1, 2))
-    assert a == b
+    a = permutation_atom(TransitiveGSet(2, ((1, 0),)), classes=())
+    b = permutation_atom(TransitiveGSet(2, ((1, 0),)), classes=(1, 2))
+    assert a == b and hash(a) == hash(b)
     assert a != opaque_atom("O-perp", 4)
     with pytest.raises(InputError):
         Atom("half-open")
@@ -684,6 +676,23 @@ def test_h1_lattice_refuses_generators_that_are_not_square_of_one_size(generator
 def test_h1_cyclic_refuses_a_generator_that_is_not_square(generator, size):
     with pytest.raises(InputError, match=f"^generator is not a {size}x{size} matrix$"):
         h1_cyclic(generator)
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        [[0]],  # {1, g} closes to a monoid of two elements
+        [[1, 0], [0, 0]],  # a projection, idempotent
+        [[2]],  # powers grow without end
+        [[1, 1], [1, -1]],  # determinant -2
+    ],
+)
+def test_h1_refuses_a_generator_not_invertible_over_z(mat):
+    message = r"^generator is not invertible over Z \(determinant is not 1 or -1\)$"
+    minus_one = [[-int(i == j) for j in range(len(mat))] for i in range(len(mat))]
+    for call in (h1_cyclic, lambda m: h1_lattice([m]), lambda m: h1_lattice([minus_one, m])):
+        with pytest.raises(InputError, match=message):
+            call(mat)
 
 
 def test_h1_lattice_of_the_0x0_generator_vanishes():

@@ -1,20 +1,28 @@
 """G-sets from the image table against the former stabilizer route.
 
 The library records a transitive G-set by the permutations its generators
-induce on the orbit, in a canonical numbering, and compares two by their
-generators and rows.  The former route is kept here as the oracle: the
-stabilizer of a member is scanned from the enumerated group, and two
-G-sets of one group are isomorphic exactly when some h in the group has
-h.A = B.h for their stabilizers A and B (Holt, Eick and O'Brien, *Handbook
-of Computational Group Theory*, ch. 4).  The exact orbit-stabilizer count,
+induce on the orbit, in a canonical numbering, and compares two by the
+dataclass `==` (size, rows, generators).  The former route is kept here as
+the oracle: the stabilizer of a member is scanned from the enumerated
+group, and two G-sets of one group are isomorphic exactly when some h in
+the group has h.A = B.h for their stabilizers A and B (Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, ch. 4).  The exact orbit-stabilizer count,
 which the library no longer makes, is checked here on every orbit.
 
 The library also reads a G-set off the image table its orbit split built,
 restricted to the orbit.  The former route, which rebuilt the table from the
 orbit's members and, for a block orbit, from their c1, is kept here as the
 reference, and the number of divisor transports is pinned.
+
+The former second equality, `gsets_equal`, and the former linear-scan
+reduction of Burnside terms, `_reduce_terms`, are kept here too: `==` and
+hash must agree with the first on every pair of G-sets built here, and the
+one-dict reduction of `BurnsideElement` with the second on seeded step
+lists, term order included.
 """
 
+import operator
+import random
 from itertools import combinations_with_replacement
 
 import pytest
@@ -27,10 +35,10 @@ from sodatlas import equivariant, intlinalg, ktheory
 from sodatlas.catalog.core import MoriFibreSpace
 from sodatlas.equivariant import (
     K_NEF,
+    BurnsideElement,
     TransitiveGSet,
     atom_multiset,
     group_action,
-    gsets_equal,
     orbit_gset,
     orbits,
 )
@@ -57,6 +65,41 @@ def conjugate(a, b, group):
     return False
 
 
+def former_gsets_equal(a, b):
+    """The former `gsets_equal`: equal sizes, and the same generators and
+    canonical rows when both sets have rows; size-only otherwise."""
+    if a.size != b.size:
+        return False
+    if a.rows is None or b.rows is None:
+        return True
+    return a.generators == b.generators and a.rows == b.rows
+
+
+def former_reduce_terms(pairs, equal):
+    """The former `_reduce_terms`, orbits told apart by `equal`: the first
+    equal entry gathers each coefficient, zeros dropped on entry and exit."""
+    out = []
+    for coeff, gset in pairs:
+        if coeff == 0:
+            continue
+        for entry in out:
+            if equal(entry[1], gset):
+                entry[0] += coeff
+                break
+        else:
+            out.append([coeff, gset])
+    return tuple((c, g) for c, g in out if c != 0)
+
+
+def same_gsets(a, b):
+    """`==` both ways agrees with the former `gsets_equal`, and equal sets
+    hash equal."""
+    verdict = a == b
+    assert verdict == (b == a) == former_gsets_equal(a, b) == former_gsets_equal(b, a)
+    assert not verdict or hash(a) == hash(b)
+    return verdict
+
+
 def orbit_members(action, classes, every_member=True):
     """(G-set of its orbit, stabilizer) for each member of the classes' orbits,
     or for the first member of each; checks the orbit-stabilizer count."""
@@ -77,10 +120,10 @@ def compare_pairs(action, members):
     verdicts = {True: 0, False: 0}
     for (a, stab_a), (b, stab_b) in combinations_with_replacement(members, 2):
         if a.size != b.size:
-            assert not gsets_equal(a, b)
+            assert not same_gsets(a, b)
             continue
         expected = conjugate(stab_a, stab_b, action.elements)
-        assert gsets_equal(a, b) == gsets_equal(b, a) == expected
+        assert same_gsets(a, b) == expected
         verdicts[expected] += 1
     return verdicts
 
@@ -249,3 +292,40 @@ def test_atoms_move_each_class_once_per_generator(transports):
 def test_orbit_gset_refuses_two_orbits():
     with pytest.raises(ActionError, match="^expected a single orbit, found 2$"):
         orbit_gset(_trivial(BL2), BL2.exceptional_classes())
+
+
+# -- the Burnside reduction against the former linear scan ---------------------
+
+def _gset_pool():
+    """Every (-1)-class orbit G-set of the actions above, listed once per
+    member, so equal G-sets recur; the actions' G-sets never compare equal
+    across actions."""
+    pool = []
+    for name in ("s3-p2-3", "d4-p2-4", "c3xc3-p2-6", "s4-p2-4", "weyl-a4-p2-4"):
+        n, gens = GROUP_ACTIONS[name]
+        surface = SurfaceModel("P2", (n,))
+        action = group_action(surface, gens)
+        pool.extend(gset for gset, _ in orbit_members(action, surface.enumerate_r_classes(-1)))
+    return pool
+
+
+def _random_terms(rng, orbits_pool):
+    return [(rng.randint(-2, 2), rng.choice(orbits_pool)) for _ in range(rng.randint(0, 14))]
+
+
+@pytest.mark.parametrize("kind", ["gsets", "sizes"])
+def test_burnside_reduction_matches_the_former_scan(kind):
+    if kind == "gsets":
+        pool, equal = _gset_pool(), former_gsets_equal
+    else:
+        pool, equal = list(range(1, 7)), operator.eq
+    rng = random.Random(f"burnside-{kind}")
+    for _ in range(300):
+        terms = _random_terms(rng, pool)
+        element = BurnsideElement(tuple(terms))
+        assert element.terms == former_reduce_terms(terms, equal)
+        shuffled = terms[:]
+        rng.shuffle(shuffled)
+        other = BurnsideElement(tuple(shuffled))
+        assert other == element and hash(other) == hash(element)
+        assert (element == BurnsideElement()) == (not element.terms)

@@ -15,7 +15,8 @@ compared without `intlinalg`: it is its generators' permutation of its
 points, so no matrix product enters.  A stable class set is split once:
 the one `_image_table` call that moves divisors builds the table that the
 orbits and every G-set read, and only the restriction to an orbit builds a
-G-set with rows.
+G-set, always with rows.  G-sets and atoms compare by their dataclass `==`
+alone: no second equality is defined beside it.
 """
 
 import ast
@@ -216,10 +217,9 @@ def test_gsets_are_built_and_compared_without_intlinalg():
     gsets = {
         node.name: node
         for node in MODULES["equivariant"].body
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
-        and node.name in ("TransitiveGSet", "gsets_equal")
+        if isinstance(node, ast.ClassDef) and node.name in ("TransitiveGSet", "Atom", "BurnsideElement")
     }
-    assert sorted(gsets) == ["TransitiveGSet", "gsets_equal"]
+    assert sorted(gsets) == ["Atom", "BurnsideElement", "TransitiveGSet"]
     for name, node in gsets.items():
         read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
         assert "intlinalg" not in read, name
@@ -258,11 +258,28 @@ def test_divisors_reach_the_image_table_from_one_call_site():
 
 
 def test_gsets_with_rows_are_built_only_by_the_restriction():
-    """The restriction passes size, rows and generators; `invariant` builds
-    size-only sets."""
+    """The restriction passes size, rows and generators; `invariant` has no
+    group, so its orbits are bare sizes and it builds no G-set."""
     built = sorted(
         (module, name, len(call.args) + len(call.keywords))
         for module in MODULES
         for name, call in _calls(module, "TransitiveGSet")
     )
-    assert built == [("cli", "_cmd_invariant", 1), ("equivariant", "_restrict", 3)]
+    assert built == [("equivariant", "_restrict", 3)]
+
+
+def test_no_module_defines_a_second_gset_equality():
+    defined = [
+        (module, node.name)
+        for module, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("gsets_equal", "_reduce_terms")
+    ]
+    assert defined == []
+
+
+def test_gsets_and_atoms_compare_by_their_dataclass_fields():
+    classes = {node.name: node for node in MODULES["equivariant"].body if isinstance(node, ast.ClassDef)}
+    for name in ("TransitiveGSet", "Atom"):
+        methods = {node.name for node in classes[name].body if isinstance(node, ast.FunctionDef)}
+        assert not methods & {"__eq__", "__hash__"}, name
