@@ -318,59 +318,87 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = (
+    "classes", "sod", "mutate", "verify-link", "group", "atoms", "invariant", "profile", "selftest",
+)
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser `main` runs on `argv`.  When `argv` starts with a command,
+    only that command's subparser is built, under the full usage line;
+    otherwise (and with no argument) every subparser is."""
     parser = argparse.ArgumentParser(
         prog="sodatlas",
         description="exact lattice, mutation and catalog computations for rational surfaces",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    if argv and argv[0] in _COMMANDS:
+        wanted = (argv[0],)
+        # The full choice list keeps the usage line.  The full parser names
+        # no metavar: it would replace `command` in the invalid-choice error.
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}"
+        )
+    else:
+        wanted = _COMMANDS
+        sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classes", help="enumerate divisor classes of a fixed square")
-    p.add_argument("--degree", type=_int_arg, required=True, help="degree of the model, 1..9 (8 is the quadric)")
-    p.add_argument("--r", type=_int_arg, required=True, help="self-intersection, -2..1")
-    p.set_defaults(handler=_cmd_classes)
+    if "classes" in wanted:
+        p = sub.add_parser("classes", help="enumerate divisor classes of a fixed square")
+        p.add_argument("--degree", type=_int_arg, required=True, help="degree of the model, 1..9 (8 is the quadric)")
+        p.add_argument("--r", type=_int_arg, required=True, help="self-intersection, -2..1")
+        p.set_defaults(handler=_cmd_classes)
 
-    p = sub.add_parser("sod", help="print the standard collection of a surface file")
-    p.add_argument("--surface", required=True, metavar="FILE")
-    p.set_defaults(handler=_cmd_sod)
+    if "sod" in wanted:
+        p = sub.add_parser("sod", help="print the standard collection of a surface file")
+        p.add_argument("--surface", required=True, metavar="FILE")
+        p.set_defaults(handler=_cmd_sod)
 
-    p = sub.add_parser("mutate", help="replay a move script on a collection file")
-    p.add_argument("--collection", required=True, metavar="FILE")
-    p.add_argument("--script", required=True, metavar="FILE")
-    p.set_defaults(handler=_cmd_mutate)
+    if "mutate" in wanted:
+        p = sub.add_parser("mutate", help="replay a move script on a collection file")
+        p.add_argument("--collection", required=True, metavar="FILE")
+        p.add_argument("--script", required=True, metavar="FILE")
+        p.set_defaults(handler=_cmd_mutate)
 
-    p = sub.add_parser("verify-link", help="replay stored catalog scripts")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--id", help="one catalog id")
-    group.add_argument("--all", action="store_true", help="every catalog id, in order")
-    p.set_defaults(handler=_cmd_verify_link)
+    if "verify-link" in wanted:
+        p = sub.add_parser("verify-link", help="replay stored catalog scripts")
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--id", help="one catalog id")
+        group.add_argument("--all", action="store_true", help="every catalog id, in order")
+        p.set_defaults(handler=_cmd_verify_link)
 
-    p = sub.add_parser("group", help="analyse a lattice group action file")
-    p.add_argument("--action", required=True, metavar="FILE")
-    p.set_defaults(handler=_cmd_group)
+    if "group" in wanted:
+        p = sub.add_parser("group", help="analyse a lattice group action file")
+        p.add_argument("--action", required=True, metavar="FILE")
+        p.set_defaults(handler=_cmd_group)
 
-    p = sub.add_parser("atoms", help="atom multiset of an equivariant contraction")
-    p.add_argument("--surface", required=True, metavar="FILE")
-    p.add_argument("--action", required=True, metavar="FILE")
-    p.add_argument("--contraction", required=True, metavar="FILE")
-    p.set_defaults(handler=_cmd_atoms)
+    if "atoms" in wanted:
+        p = sub.add_parser("atoms", help="atom multiset of an equivariant contraction")
+        p.add_argument("--surface", required=True, metavar="FILE")
+        p.add_argument("--action", required=True, metavar="FILE")
+        p.add_argument("--contraction", required=True, metavar="FILE")
+        p.set_defaults(handler=_cmd_atoms)
 
-    p = sub.add_parser("invariant", help="Burnside element of a blow-up/down step list")
-    p.add_argument("--steps", required=True, metavar="FILE")
-    p.set_defaults(handler=_cmd_invariant)
+    if "invariant" in wanted:
+        p = sub.add_parser("invariant", help="Burnside element of a blow-up/down step list")
+        p.add_argument("--steps", required=True, metavar="FILE")
+        p.set_defaults(handler=_cmd_invariant)
 
-    p = sub.add_parser("profile", help="arithmetic checks on an atom profile file")
-    p.add_argument("--file", required=True, metavar="FILE")
-    p.set_defaults(handler=_cmd_profile)
+    if "profile" in wanted:
+        p = sub.add_parser("profile", help="arithmetic checks on an atom profile file")
+        p.add_argument("--file", required=True, metavar="FILE")
+        p.set_defaults(handler=_cmd_profile)
 
-    p = sub.add_parser("selftest", help="run the embedded acceptance suite")
-    p.set_defaults(handler=_cmd_selftest)
+    if "selftest" in wanted:
+        p = sub.add_parser("selftest", help="run the embedded acceptance suite")
+        p.set_defaults(handler=_cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.handler(args)
     except InputError as exc:

@@ -352,10 +352,10 @@ def burnside_invariant(steps) -> BurnsideElement:
 class Atom:
     """One indivisible equivariant piece of a decomposition.
 
-    kind "permutation" carries a transitive G-set; kind "opaque" carries a
-    shape label plus the degree of the model it sits on.  `classes` is the
-    K-class payload the piece was read off from (kept for certificate
-    assembly, ignored by `==` and the hash).
+    kind "permutation" carries a transitive G-set and no shape or degree;
+    kind "opaque" carries a shape label plus the degree of the model it sits
+    on, and no G-set.  `classes` is the K-class payload the piece was read
+    off from (kept for certificate assembly, ignored by `==` and the hash).
     """
 
     kind: str
@@ -368,9 +368,13 @@ class Atom:
         if self.kind == "permutation":
             if self.gset is None:
                 raise InputError("permutation atoms need a G-set")
+            if self.shape is not None or self.degree is not None:
+                raise InputError("permutation atoms carry no shape or degree")
         elif self.kind == "opaque":
             if self.shape is None:
                 raise InputError("opaque atoms need a shape label")
+            if self.gset is not None:
+                raise InputError("opaque atoms carry no G-set")
         else:
             raise InputError(f"unknown atom kind {self.kind!r}")
 
@@ -571,13 +575,21 @@ def h1_lattice(generators) -> list[int]:
     Pure lattice arithmetic: no surface, no form or K constraint, so it also
     serves actions that no surface model can host.  The generators must be
     unimodular matrices of one size; the closure, capped at DEFAULT_H1_CAP
-    elements, supplies only the order.  No generator is the trivial group.
+    elements, supplies only the order.  A larger group raises
+    UnsupportedRangeError, as in `h1_picard` and `h1_cyclic`.  No generator
+    is the trivial group.
     """
     generators = tuple(_freeze(g) for g in generators)
     if not generators:
         return []
     _check_generators(generators)
-    return _h1(_moved_factors(generators), len(_close(generators, DEFAULT_H1_CAP)))
+    try:
+        order = len(_close(generators, DEFAULT_H1_CAP))
+    except ActionError:
+        raise UnsupportedRangeError(
+            f"group closure exceeds the H^1 cap of {DEFAULT_H1_CAP}"
+        ) from None
+    return _h1(_moved_factors(generators), order)
 
 
 def h1_picard(action: GroupAction) -> list[int]:

@@ -480,6 +480,18 @@ def test_atom_equality_ignores_the_class_payload():
         Atom("half-open")
 
 
+@pytest.mark.parametrize("fields", [{"shape": "O-perp"}, {"degree": 4}, {"shape": "O-perp", "degree": 4}])
+def test_permutation_atoms_refuse_a_shape_or_degree(fields):
+    with pytest.raises(InputError, match="^permutation atoms carry no shape or degree$"):
+        Atom("permutation", gset=TransitiveGSet(2, ((1, 0),)), **fields)
+
+
+def test_opaque_atoms_refuse_a_gset():
+    with pytest.raises(InputError, match="^opaque atoms carry no G-set$"):
+        Atom("opaque", gset=TransitiveGSet(2, ((1, 0),)), shape="O-perp", degree=4)
+    assert Atom("opaque", shape="O-perp", degree=4) == opaque_atom("O-perp", 4)
+
+
 # -- permutation-basis certificate ----------------------------------------------------
 
 def test_certificate_for_the_plane_with_trivial_action():
@@ -709,3 +721,28 @@ def test_h1_cap_is_enforced():
         h1_picard(weyl_action())
     with pytest.raises(UnsupportedRangeError):
         h1_cyclic([[1, 1], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [
+        [[1, 1], [0, 1]],  # the shear, of infinite order
+        # a 7-cycle and an 8-cycle: a finite cyclic group of order 56
+        perm_matrix(15, {i: i + 1 - 7 * (i == 6) - 8 * (i == 14) for i in range(15)}),
+    ],
+    ids=["shear", "order-56"],
+)
+def test_both_h1_routes_refuse_a_group_above_the_cap_with_one_type(generator):
+    for call in (h1_cyclic, lambda g: h1_lattice([g])):
+        with pytest.raises(UnsupportedRangeError, match=f"cap of {equivariant.DEFAULT_H1_CAP}$"):
+            call(generator)
+
+
+def test_h1_lattice_above_the_cap_names_the_h1_cap():
+    action = weyl_action()
+    assert action.order == 120
+    message = f"^group closure exceeds the H\\^1 cap of {equivariant.DEFAULT_H1_CAP}$"
+    with pytest.raises(UnsupportedRangeError, match=message):
+        h1_lattice(action.generators)
+    with pytest.raises(UnsupportedRangeError, match="H\\^1 cap"):
+        h1_picard(action)

@@ -497,11 +497,13 @@ def test_invariant_never_raises(workdir, steps):
 def _run_args(argv) -> int:
     """`_run(argv)`, or exit code 2 for arguments argparse rejects: then
     standard output stays empty and standard error is its usage text with
-    one `error:` line at the end."""
+    one `error:` line at the end.  The arguments go through the parser
+    `main` builds for them, which holds only the subparser of their
+    command."""
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            cli._build_parser().parse_args(argv)
+            cli._build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         lines = err.getvalue().splitlines()
         assert exc.code == 2 and out.getvalue() == ""

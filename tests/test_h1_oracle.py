@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from sodatlas import cli, equivariant, intlinalg
 from sodatlas.equivariant import group_action, h1_cyclic, h1_lattice, h1_picard, invariant_rank
-from sodatlas.errors import ActionError, InputError, VerificationError
+from sodatlas.errors import ActionError, InputError, UnsupportedRangeError, VerificationError
 from sodatlas.lattice import SurfaceModel
 
 
@@ -276,7 +276,7 @@ def test_s4_on_the_degree_five_model_has_trivial_h1():
 
 def test_h1_lattice_stops_at_the_closure_cap(monkeypatch):
     monkeypatch.setattr(equivariant, "DEFAULT_H1_CAP", 10)
-    with pytest.raises(ActionError, match="cap of 10 elements"):
+    with pytest.raises(UnsupportedRangeError, match=r"^group closure exceeds the H\^1 cap of 10$"):
         h1_lattice([[[1, 1], [0, 1]]])
 
 
