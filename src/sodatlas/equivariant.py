@@ -15,8 +15,11 @@ index lookup; the matrices are rebuilt at the end.  Its cap bounds the
 number of elements, and an orbit of more vectors than the cap already
 passes it, so an infinite group is stopped there.  Where each
 generator sends each item comes from one image table, `_image_table`, which
-is also the stability check; divisors move by `lattice.apply_divisor_matrix`
-and K-classes by `ktheory.sigma_kclass`.  Orbits of divisor classes and of a
+is also the stability check.  It moves int tuples, all of a table's at once
+and column by column: divisors as their coordinates under the generators,
+K-classes as their vectors (rank, c1..., chi) under the generators bordered
+by 1 at rank and chi (`_on_kclasses`), which `ktheory.sigma_kclass` fixes,
+so no item is moved alone.  Orbits of divisor classes and of a
 block's K-classes come from one walk over that table, `_orbit_walk`, and the
 certificate's permutations are its rows.  `_split` splits a stable class set
 once: its sorted classes, their table and its orbits.  A transitive G-set is
@@ -41,12 +44,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from . import intlinalg
 from .catalog.core import MoriFibreSpace, standard_sod
 from .errors import ActionError, InputError, UnsupportedRangeError, VerificationError
-from .ktheory import KClass, sigma_kclass, torsion_class
+from .ktheory import KClass, torsion_class
 from .lattice import DivisorClass, SurfaceModel, apply_divisor_matrix
 from .textio import render_kclass
 
@@ -181,24 +184,47 @@ def invariant_rank(action: GroupAction) -> int:
     return action.surface.picard_rank - len(_action_factors(action))
 
 
-def _image_table(generators, items, key, move, error: str) -> list[list[int]]:
-    """Where each generator sends each item: `table[t][i]` is the index of
-    `move(items[i], generators[t])`, items being told apart by `key`.
+def _image_table(matrices, vectors, error: str) -> list[list[int]]:
+    """Where each matrix sends each vector: `table[t][i]` is the index in
+    `vectors` (int tuples) of matrices[t] times vectors[i].
 
-    Building the table is the stability check: an image outside the items
-    raises ActionError with `error`, its `{}` filled with the moved item's
-    key."""
-    index = {key(x): i for i, x in enumerate(items)}
+    Each matrix moves all the vectors at once: an image coordinate is a sum
+    of the vectors' columns, zero entries skipped and entries of 1 taken
+    without a product.  Building the table is the stability check: the first
+    image outside the vectors, matrices and vectors in order, raises
+    ActionError with `error`, its `{}` filled with the moved vector."""
+    index = {v: i for i, v in enumerate(vectors)}
+    columns = list(zip(*vectors))
+    zero = (0,) * len(vectors)
     table = []
-    for g in generators:
-        row = []
-        for x in items:
-            j = index.get(key(move(x, g)))
-            if j is None:
-                raise ActionError(error.format(key(x)))
-            row.append(j)
-        table.append(row)
+    for m in matrices:
+        rows = []
+        for entries in m:
+            row = None
+            for x, column in zip(entries, columns):
+                if x:
+                    if x != 1:
+                        column = [x * c for c in column]
+                    row = column if row is None else list(map(add, row, column))
+            rows.append(zero if row is None else row)
+        images = list(map(index.get, zip(*rows)))
+        if None in images:
+            raise ActionError(error.format(vectors[images.index(None)]))
+        table.append(images)
     return table
+
+
+def _on_kclasses(surface: SurfaceModel, generators):
+    """The generators as matrices on K-class vectors (rank, c1..., chi):
+    each bordered by 1 at rank and at chi, which `ktheory.sigma_kclass`
+    fixes.  Lazily, so that a generator of the wrong size is refused where
+    the table reaches it."""
+    n = surface.picard_rank
+    rank_row, chi_row = (1,) + (0,) * (n + 1), (0,) * (n + 1) + (1,)
+    for g in generators:
+        if len(g) != n:
+            raise InputError(f"expected {n} coefficients, got {len(g)}")
+        yield (rank_row, *((0, *row, 0) for row in g), chi_row)
 
 
 def _orbit_walk(images, n: int) -> list[list[int]]:
@@ -231,9 +257,7 @@ def _split(action: GroupAction, classes):
     pool = sorted(set(classes), key=lambda d: d.coords)
     images = _image_table(
         action.generators,
-        pool,
-        lambda d: d.coords,
-        lambda d, g: apply_divisor_matrix(action.surface, g, d),
+        [d.coords for d in pool],
         "class set is not stable: generator moves {} outside the set",
     )
     return pool, images, list(map(sorted, _orbit_walk(images, len(pool))))
@@ -459,10 +483,8 @@ def atom_multiset(surface: SurfaceModel, action: GroupAction, contraction) -> li
             atoms.append(opaque_atom("O-perp", terminal.degree, classes=tuple(pulled)))
             continue
         images = _image_table(
-            action.generators,
-            pulled,
-            lambda c: c.vector,
-            sigma_kclass,
+            _on_kclasses(surface, action.generators),
+            [c.vector for c in pulled],
             "minimal-model block is not invariant under the action",
         )
         for orbit in _orbit_walk(images, len(pulled)):
@@ -498,10 +520,8 @@ def permutation_basis_certificate(surface: SurfaceModel, atoms, action: GroupAct
         raise ActionError("atom payload is not a Z-basis of the K-group")
     # the trivial group's only element, the identity, stands in for a generator
     permutations = _image_table(
-        action.generators or (_identity(surface.picard_rank),),
-        classes,
-        lambda c: c.vector,
-        sigma_kclass,
+        _on_kclasses(surface, action.generators or (_identity(surface.picard_rank),)),
+        [c.vector for c in classes],
         "a generator moves a basis object off the basis",
     )
     matrices = []

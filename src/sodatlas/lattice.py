@@ -23,8 +23,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
-from operator import mul
-from typing import Iterable, Iterator
+from operator import mul, neg
+from typing import Iterable
 
 from .errors import InputError, UnsupportedRangeError
 
@@ -76,8 +76,12 @@ class SurfaceModel:
     blowup_orbits: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not _BASE_RE.match(self.base):
+        m = _BASE_RE.match(self.base)
+        if not m:
             raise InputError(f"unknown base {self.base!r}; expected P2 or F<d>")
+        if m.group(2) is not None:
+            # F01 and F1 are one surface: one spelling for describe, == and the hash
+            object.__setattr__(self, "base", "F" + (m.group(2).lstrip("0") or "0"))
         object.__setattr__(self, "blowup_orbits", tuple(int(k) for k in self.blowup_orbits))
         if any(k < 1 for k in self.blowup_orbits):
             raise InputError("orbit sizes must be positive")
@@ -205,14 +209,17 @@ class SurfaceModel:
         return self._r_classes_any_degree(r)
 
     def _r_classes_any_degree(self, r: int) -> set[DivisorClass]:
-        # Complete bounded search; sound whenever K^2 >= 1, where the
-        # Cauchy-Schwarz bound on the exceptional part closes the window.
+        """All r-classes, by a complete bounded search; sound whenever
+        K^2 >= 1, where the Cauchy-Schwarz bound on the exceptional part
+        closes the window.  The exceptional parts come from one memo of
+        (n, s, q) subproblems, kept for this call only."""
         if self.degree < 1:
             raise UnsupportedRangeError(
                 f"enumeration needs degree >= 1, surface {self.describe()} has {self.degree}"
             )
         c = 2 + r
         n = self.num_blown
+        memo: dict = {}
         found: set[DivisorClass] = set()
         if self.hirzebruch_d is None:
             # D = a.H - sum b_i E_i with sum b = 3a - c, sum b^2 = a^2 - r
@@ -220,8 +227,8 @@ class SurfaceModel:
                 s, q = 3 * a - c, a * a - r
                 if q < 0:
                     continue
-                for b in _vectors_with_sum_and_square(n, s, q):
-                    found.add(self.divisor((a,) + tuple(-x for x in b)))
+                for b in _vectors_with_sum_and_square(n, s, q, memo):
+                    found.add(DivisorClass((a,) + tuple(map(neg, b))))
             return found
         d = self.hirzebruch_d
         # D = alpha.h + beta.s - sum b_i E_i
@@ -234,8 +241,8 @@ class SurfaceModel:
                 q = 2 * alpha * beta - d * beta ** 2 - r
                 if q < 0:
                     continue
-                for b in _vectors_with_sum_and_square(n, s, q):
-                    found.add(self.divisor((beta, alpha) + tuple(-x for x in b)))
+                for b in _vectors_with_sum_and_square(n, s, q, memo):
+                    found.add(DivisorClass((beta, alpha) + tuple(map(neg, b))))
         return found
 
 
@@ -260,20 +267,26 @@ def _quad_solutions(a2: int, a1: int, a0: int) -> list[int]:
     return [x for x in range(lo, hi + 1) if a2 * x * x + a1 * x + a0 <= 0]
 
 
-def _vectors_with_sum_and_square(n: int, s: int, q: int) -> Iterator[tuple[int, ...]]:
-    """All integer vectors of length n with sum s and sum of squares q."""
-    if n == 0:
-        if s == 0 and q == 0:
-            yield ()
-        return
-    if n == 1:
-        if s * s == q:
-            yield (s,)
-        return
-    # (s - b)^2 <= (n-1)(q - b^2) prunes the head coordinate
-    for b in _quad_solutions(n, -2 * s, s * s - (n - 1) * q):
-        if b * b > q:
-            continue
-        for rest in _vectors_with_sum_and_square(n - 1, s - b, q - b * b):
-            yield (b,) + rest
+def _vectors_with_sum_and_square(n: int, s: int, q: int, memo: dict) -> list[tuple[int, ...]]:
+    """All integer vectors of length n with sum s and sum of squares q.
 
+    Prefixes with equal sums and equal square sums leave the same (n, s, q)
+    subproblem for the rest, so each is solved once: `memo` maps (n, s, q)
+    to its list, and the caller decides how long the memo lives."""
+    key = (n, s, q)
+    found = memo.get(key)
+    if found is not None:
+        return found
+    if n == 0:
+        found = [()] if s == 0 and q == 0 else []
+    elif n == 1:
+        found = [(s,)] if s * s == q else []
+    else:
+        found = []
+        # (s - b)^2 <= (n-1)(q - b^2) prunes the head coordinate
+        for b in _quad_solutions(n, -2 * s, s * s - (n - 1) * q):
+            if b * b <= q:
+                rests = _vectors_with_sum_and_square(n - 1, s - b, q - b * b, memo)
+                found += [(b,) + rest for rest in rests]
+    memo[key] = found
+    return found

@@ -394,6 +394,17 @@ def test_atoms_rejects_mismatched_models(tmp_path, capsys):
     )
     assert code == 2 and "does not match" in err
 
+def test_atoms_takes_a_zero_padded_hirzebruch_base_as_the_same_model(tmp_path, capsys):
+    surface, action, contraction = _atom_files(tmp_path)
+    surface.write_text("[surface]\nmodel = F1[1]\n")
+    action.write_text("[group]\nmodel = F01[1]\n")
+    contraction.write_text("[contraction]\nterminal = K-nef\n")
+    code, out, err = run(
+        capsys, "atoms",
+        "--surface", str(surface), "--action", str(action), "--contraction", str(contraction),
+    )
+    assert (code, out, err) == (0, "atom: opaque K-nef, degree 7\ncount: 1\n", "")
+
 def test_atoms_rejects_wrong_residual_model(tmp_path, capsys):
     surface, action, contraction = _atom_files(tmp_path)
     contraction.write_text("[contraction]\norbits = [0]\nterminal = Point\nmodel = F0\n")

@@ -12,7 +12,17 @@ which the library no longer makes, is checked here on every orbit.
 The library also reads a G-set off the image table its orbit split built,
 restricted to the orbit.  The former route, which rebuilt the table from the
 orbit's members and, for a block orbit, from their c1, is kept here as the
-reference, and the number of divisor transports is pinned.
+reference.
+
+The image table moves int tuples column by column, one product per matrix:
+divisor coordinates under the generators, K-class vectors under the
+generators bordered at rank and chi.  The former per-item table, which
+moved each item by `apply_divisor_matrix` or `sigma_kclass` and told items
+apart by a key, is kept here: both must give the same table, or the same
+error type and text naming the same first item, on stable and unstable
+class sets and on every K-class table of the atom and certificate calls of
+tests/test_equivariant.py.  The moves per table are pinned, and no
+per-item transport may run.
 
 The former second equality, `gsets_equal`, and the former linear-scan
 reduction of Burnside terms, `_reduce_terms`, are kept here too: `==` and
@@ -23,7 +33,8 @@ lists, term order included.
 
 import operator
 import random
-from itertools import combinations_with_replacement
+from collections import Counter
+from itertools import combinations_with_replacement, islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,7 +43,7 @@ from test_h1_oracle import ACTIONS, S4_P2_4, WEYL_A4_P2_4, weyl_caps, weyl_subgr
 from test_equivariant import BL2, BL3, BL4, F0, P2, hexagon_action, perm_matrix, weyl_action
 
 from sodatlas import equivariant, intlinalg, ktheory
-from sodatlas.catalog.core import MoriFibreSpace
+from sodatlas.catalog.core import MoriFibreSpace, standard_sod
 from sodatlas.equivariant import (
     K_NEF,
     BurnsideElement,
@@ -41,8 +52,9 @@ from sodatlas.equivariant import (
     group_action,
     orbit_gset,
     orbits,
+    permutation_basis_certificate,
 )
-from sodatlas.errors import ActionError
+from sodatlas.errors import ActionError, InputError
 from sodatlas.lattice import SurfaceModel, apply_divisor_matrix
 
 
@@ -256,16 +268,49 @@ def test_atom_gsets_equal_the_rebuilt_table(name):
 
 @pytest.fixture
 def transports(monkeypatch):
-    """Counts divisor transports, direct or through `sigma_kclass`."""
+    """Counts per-item transports: divisors moved one by one, directly or
+    through `sigma_kclass`, and K-classes moved through `sigma_kclass`."""
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return apply_divisor_matrix(*args)
+    def counted(transport):
+        def moved(*args):
+            calls.append(args)
+            return transport(*args)
+
+        return moved
 
     for module in (equivariant, ktheory):
-        monkeypatch.setattr(module, "apply_divisor_matrix", counted)
+        for name in ("apply_divisor_matrix", "sigma_kclass"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
     return calls
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Records each `_image_table` call as (matrices, vectors, error), the
+    matrices as the table consumed them: one column product each."""
+    calls = []
+
+    def recorded(matrices, vectors, error):
+        consumed = []
+        calls.append((consumed, vectors, error))
+
+        def each():
+            for m in matrices:
+                consumed.append(m)
+                yield m
+
+        return IMAGE_TABLE(each(), vectors, error)
+
+    monkeypatch.setattr(equivariant, "_image_table", recorded)
+    return calls
+
+
+def _moves(tables):
+    """Vectors moved over all recorded tables: one column product per matrix
+    moves every vector of its table once."""
+    return sum(len(matrices) * len(vectors) for matrices, vectors, _ in tables)
 
 
 def _weyl_a4():
@@ -274,24 +319,199 @@ def _weyl_a4():
     return surface, group_action(surface, gens)
 
 
-def test_orbit_gset_moves_each_class_once_per_generator(transports):
+def test_orbit_gset_moves_each_class_once_per_generator(transports, tables):
     surface, action = _weyl_a4()
     minus = surface.enumerate_r_classes(-1)
     transports.clear()
     orbit_gset(action, minus)
-    assert len(transports) == 4 * 10  # four generators, ten (-1)-classes
+    assert len(tables) == 1 and len(tables[0][0]) == 4  # one table, one product per generator
+    assert _moves(tables) == 4 * 10  # four generators, ten (-1)-classes
+    assert transports == []
 
 
-def test_atoms_move_each_class_once_per_generator(transports):
+def test_atoms_move_each_class_once_per_generator(transports, tables):
     surface, action = _weyl_a4()
     transports.clear()
     atom_multiset(surface, action, [MoriFibreSpace(surface, "Point")])
-    assert len(transports) == 4 * 7  # four generators, one block orbit of 5 and two of 1
+    assert all(len(matrices) == 4 for matrices, _, _ in tables)
+    assert _moves(tables) == 4 * 7  # four generators, one block orbit of 5 and two of 1
+    assert transports == []
 
 
 def test_orbit_gset_refuses_two_orbits():
     with pytest.raises(ActionError, match="^expected a single orbit, found 2$"):
         orbit_gset(_trivial(BL2), BL2.exceptional_classes())
+
+
+# -- the image table against the former per-item route ----------------------
+
+IMAGE_TABLE = equivariant._image_table
+UNSTABLE = "class set is not stable: generator moves {} outside the set"
+
+
+def former_image_table(generators, items, key, move, error):
+    """The former `_image_table`: `move(items[i], generators[t])` for each
+    generator and item, items told apart by `key`.  The first image outside
+    the items raises ActionError with `error`, its `{}` filled with the
+    moved item's key."""
+    index = {key(x): i for i, x in enumerate(items)}
+    table = []
+    for g in generators:
+        row = []
+        for x in items:
+            j = index.get(key(move(x, g)))
+            if j is None:
+                raise ActionError(error.format(key(x)))
+            row.append(j)
+        table.append(row)
+    return table
+
+
+def _outcome(build, *args):
+    """The table, or the type and text of the error it raised."""
+    try:
+        return build(*args)
+    except (ActionError, InputError) as exc:
+        return type(exc), str(exc)
+
+
+def same_divisor_tables(action, classes):
+    """Both routes on the sorted classes, as `_split` passes them."""
+    pool = sorted(set(classes), key=lambda d: d.coords)
+    expected = _outcome(
+        former_image_table,
+        action.generators,
+        pool,
+        lambda d: d.coords,
+        lambda d, g: apply_divisor_matrix(action.surface, g, d),
+        UNSTABLE,
+    )
+    assert _outcome(IMAGE_TABLE, action.generators, [d.coords for d in pool], UNSTABLE) == expected
+    return expected
+
+
+def divisor_tables_agree(action, orbits_checked=None):
+    """The (-1)- and 0-classes, and each of them less the least one or two
+    members of one orbit (not stable when that orbit has more members, and
+    then a generator may move several classes out): equal tables, or equal
+    error types and texts."""
+    outcomes = Counter()
+    for r in (-1, 0):
+        classes = action.surface._r_classes_any_degree(r)
+        outcomes[type(same_divisor_tables(action, classes))] += 1
+        for part in orbits(action, classes)[:orbits_checked]:
+            for dropped in (part[:1], part[:2]):
+                outcomes[type(same_divisor_tables(action, set(classes) - set(dropped)))] += 1
+    return outcomes
+
+
+@pytest.mark.parametrize("name", GROUP_ACTIONS)
+def test_divisor_tables_match_the_former_route(name):
+    n, gens = GROUP_ACTIONS[name]
+    surface = SurfaceModel("P2", (n,))
+    outcomes = divisor_tables_agree(group_action(surface, gens), orbits_checked=12)
+    assert outcomes[list] >= 2 and outcomes[tuple] >= 1  # stable and unstable sets both met
+
+
+@settings(
+    derandomize=True,
+    max_examples=30,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(weyl_subgroups())
+def test_divisor_tables_match_the_former_route_on_weyl_subgroups(weyl_caps, case):  # noqa: F811
+    k, gens = case
+    divisor_tables_agree(group_action(SurfaceModel("P2", (k,)), gens), orbits_checked=4)
+
+
+def test_a_class_of_another_surface_is_named_as_before():
+    action = _swap_on_bl2()
+    for classes in ([BL3.basis_class("E1")], [BL2.basis_class("E1"), *BL3.exceptional_classes()]):
+        assert same_divisor_tables(action, classes)[0] is ActionError
+
+
+def _kclass_route(surface, generators, vectors, error):
+    """The former route on the classes of `vectors`, moved by `sigma_kclass`."""
+    items = [ktheory.class_from_vector(surface, v) for v in vectors]
+    return _outcome(former_image_table, generators, items, lambda c: c.vector, ktheory.sigma_kclass, error)
+
+
+def _ruling_swap():
+    return F0, group_action(F0, [perm_matrix(2, {0: 1, 1: 0})]), [RULING]
+
+
+def _reflection_on_f0_11():
+    return group_action(F0_11, [[[1, 1, 1, 1], [0, 1, 0, 0], [0, -1, 0, -1], [0, -1, -1, 0]]])
+
+
+# The certificate calls of tests/test_equivariant.py: (atom case, action of
+# the certificate, or None for the atoms' own action).
+CERTIFICATE_CASES = {
+    "plane": ("plane", None),
+    "blown-pair": ("swap-blown-pair", None),
+    "hexagon": ("hexagon", None),
+    "basis-moved-off": ("ruled-two-blown", _reflection_on_f0_11),
+    "generator-of-another-surface": ("plane", _swap_on_bl2),
+}
+
+
+def _kclass_tables(tables, surface, generators):
+    """The recorded K-class tables against the former route: the table saw
+    the generators bordered for K-classes, and gives the former table, or
+    its error type and text."""
+    checked = 0
+    for matrices, vectors, error in tables:
+        if vectors and len(vectors[0]) != surface.picard_rank + 2:
+            continue  # a blown orbit's divisor table
+        bordered = list(islice(equivariant._on_kclasses(surface, generators), len(matrices)))
+        assert matrices == bordered
+        expected = _kclass_route(surface, generators, vectors, error)
+        got = _outcome(IMAGE_TABLE, equivariant._on_kclasses(surface, generators), vectors, error)
+        assert got == expected
+        checked += 1
+    return checked
+
+
+def _block_tables(name, terminal):
+    """K-class tables an `atom_multiset` call builds: one per block that is
+    not opaque, up to the first block the action moves."""
+    if name == "k-nef":
+        return 0
+    if name == "ruling-swap":
+        return 2  # the ruling swap exchanges the two middle blocks
+    return sum(not b.opaque for b in standard_sod(terminal).blocks)
+
+
+@pytest.mark.parametrize("name", [*ATOM_CASES, "ruling-swap"])
+def test_atom_block_tables_match_the_former_route(name, tables):
+    if name == "ruling-swap":
+        surface, action, contraction = _ruling_swap()
+    else:
+        surface, make, contraction = ATOM_CASES[name]
+        action = make()
+    outcome = _outcome(atom_multiset, surface, action, contraction)
+    checked = _kclass_tables(tables, surface, action.generators)
+    assert checked == _block_tables(name, contraction[-1])
+    if name == "ruling-swap":
+        assert outcome == (ActionError, "minimal-model block is not invariant under the action")
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_CASES)
+def test_certificate_tables_match_the_former_route(name, tables):
+    atom_case, other = CERTIFICATE_CASES[name]
+    surface, make, contraction = ATOM_CASES[atom_case]
+    atoms = atom_multiset(surface, make(), contraction)
+    action = other() if other else make()
+    tables.clear()
+    outcome = _outcome(permutation_basis_certificate, surface, atoms, action)
+    generators = action.generators or (equivariant._identity(surface.picard_rank),)
+    assert _kclass_tables(tables, surface, generators) == 1
+    if name == "basis-moved-off":
+        assert outcome == (ActionError, "a generator moves a basis object off the basis")
+    if name == "generator-of-another-surface":
+        assert outcome == (InputError, "expected 1 coefficients, got 3")
 
 
 # -- the Burnside reduction against the former linear scan ---------------------

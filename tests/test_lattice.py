@@ -1,16 +1,14 @@
 from fractions import Fraction
+from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sodatlas.errors import InputError, UnsupportedRangeError
-from sodatlas.lattice import (
-    DivisorClass,
-    SurfaceModel,
-    _quad_solutions,
-    _vectors_with_sum_and_square,
-)
+from sodatlas.ktheory import euler_form
+from sodatlas.lattice import DivisorClass, SurfaceModel, _quad_solutions
 
 P2 = SurfaceModel("P2")
 F0 = SurfaceModel("F0")
@@ -141,8 +139,29 @@ def test_root_system_counts_below_supported_degree():
     assert len(DEGREE_MODELS[5]._r_classes_any_degree(-2)) == 20
 
 
+def _former_vectors_with_sum_and_square(n, s, q):
+    """The former recursive generator: all integer vectors of length n with
+    sum s and sum of squares q, each subproblem solved again from every
+    prefix."""
+    if n == 0:
+        if s == 0 and q == 0:
+            yield ()
+        return
+    if n == 1:
+        if s * s == q:
+            yield (s,)
+        return
+    # (s - b)^2 <= (n-1)(q - b^2) prunes the head coordinate
+    for b in _quad_solutions(n, -2 * s, s * s - (n - 1) * q):
+        if b * b > q:
+            continue
+        for rest in _former_vectors_with_sum_and_square(n - 1, s - b, q - b * b):
+            yield (b,) + rest
+
+
 def _old_r_classes(surface, r):
-    """The enumeration with its former closed forms for unblown bases."""
+    """The enumeration with its former closed forms for unblown bases and its
+    former recursive generator."""
     if surface.degree < 1:
         raise UnsupportedRangeError(
             f"enumeration needs degree >= 1, surface {surface.describe()} has {surface.degree}"
@@ -159,7 +178,7 @@ def _old_r_classes(surface, r):
             s, q = 3 * a - c, a * a - r
             if q < 0:
                 continue
-            for b in _vectors_with_sum_and_square(n, s, q):
+            for b in _former_vectors_with_sum_and_square(n, s, q):
                 found.add(surface.divisor((a,) + tuple(-x for x in b)))
         return found
     d = surface.hirzebruch_d
@@ -181,7 +200,7 @@ def _old_r_classes(surface, r):
             q = 2 * alpha * beta - d * beta ** 2 - r
             if q < 0:
                 continue
-            for b in _vectors_with_sum_and_square(n, s, q):
+            for b in _former_vectors_with_sum_and_square(n, s, q):
                 found.add(surface.divisor((beta, alpha) + tuple(-x for x in b)))
     return found
 
@@ -206,6 +225,60 @@ def test_enumeration_matches_the_closed_forms_for_unblown_bases():
         assert _enumeration(SurfaceModel._r_classes_any_degree, s, r) == want, (s.describe(), r)
 
 
+def _box_r_classes(surface, r, window=range(-25, 26)):
+    """Every integer vector inside the Cauchy-Schwarz box, tested one by one.
+
+    With D.K = -(2 + r) and D^2 = r written on the head coordinates, the
+    exceptional part b of D has a fixed sum s and square sum q, so
+    s^2 <= n.q and |b_i| <= isqrt(q).  The head runs over `window`, and no
+    class may lie near its edge."""
+    n = surface.num_blown
+    d = surface.hirzebruch_d
+    c = 2 + r
+    heads = []
+    for x in window:
+        if d is None:
+            heads.append(((x,), 3 * x - c, x * x - r))
+            continue
+        for y in window:
+            # D = x.s + y.h - sum b_i E_i
+            heads.append(((x, y), 2 * y - (d - 2) * x - c, 2 * x * y - d * x * x - r))
+    found = set()
+    for head, s, q in heads:
+        if q < 0 or s * s > n * q:
+            continue
+        bound = isqrt(q)
+        for b in product(range(-bound, bound + 1), repeat=n):
+            if sum(b) == s and sum(x * x for x in b) == q:
+                found.add(DivisorClass(head + tuple(-x for x in b)))
+    edge = max(abs(window[0]), abs(window[-1])) // 2
+    assert all(abs(x) < edge for cls in found for x in cls.coords[: surface.base_rank])
+    return found
+
+
+BOX_SURFACES = [
+    SurfaceModel(base, (n,) if n else ()) for base in ("P2", "F0", "F1", "F2", "F3") for n in range(5)
+]
+
+
+@pytest.mark.parametrize("surface", BOX_SURFACES, ids=lambda s: s.describe())
+def test_enumeration_matches_the_cauchy_schwarz_box(surface):
+    """Independent of the enumeration's windows and of its subproblems: every
+    vector of the box is tested, on P2 and F0-F3 with at most 4 points."""
+    for r in (-2, -1, 0, 1):
+        assert surface._r_classes_any_degree(r) == _box_r_classes(surface, r), r
+
+
+@pytest.mark.parametrize("n, count", [(6, 27), (7, 126), (8, 2160)])
+def test_zero_class_counts_of_del_pezzo_surfaces(n, count):
+    """The classical conic-class counts on degrees 3, 2 and 1, by the kernel
+    and by the former generator."""
+    surface = SurfaceModel("P2", (n,))
+    classes = surface._r_classes_any_degree(0)
+    assert len(classes) == count
+    assert classes == _old_r_classes(surface, 0)
+
+
 def test_enumeration_gate():
     low = SurfaceModel("P2", (7,))
     with pytest.raises(UnsupportedRangeError):
@@ -228,6 +301,16 @@ def test_blow_up_bookkeeping():
     assert f.labels == ("s", "h", "E1", "E2")
     with pytest.raises(InputError):
         SurfaceModel("P2", (3, 0))
+
+
+@pytest.mark.parametrize("padded, plain", [("F01", "F1"), ("F00", "F0"), ("F0012", "F12")])
+def test_zero_padded_hirzebruch_bases_are_one_surface(padded, plain):
+    """Both spellings give one surface: one name, `==`, hash and Euler form."""
+    a, b = SurfaceModel(padded, (1,)), SurfaceModel(plain, (1,))
+    assert a.base == plain and a.describe() == b.describe() == f"{plain}[1]"
+    assert a == b and hash(a) == hash(b)
+    assert a.hirzebruch_d == b.hirzebruch_d and a.gram == b.gram
+    assert euler_form(a) is euler_form(b)
 
 
 def test_divisor_validation():

@@ -15,8 +15,10 @@ compared without `intlinalg`: it is its generators' permutation of its
 points, so no matrix product enters.  A stable class set is split once:
 the one `_image_table` call that moves divisors builds the table that the
 orbits and every G-set read, and only the restriction to an orbit builds a
-G-set, always with rows.  G-sets and atoms compare by their dataclass `==`
-alone: no second equality is defined beside it.
+G-set, always with rows.  The image table moves int tuples column by
+column for divisors and K-classes alike, so no item is moved alone.
+G-sets and atoms compare by their dataclass `==` alone: no second
+equality is defined beside it.
 """
 
 import ast
@@ -249,12 +251,34 @@ def test_no_module_defines_a_second_gset_builder():
 
 
 def test_divisors_reach_the_image_table_from_one_call_site():
-    sites = [
-        name
-        for name, call in _calls("equivariant", "_image_table")
-        if "apply_divisor_matrix" in {n.id for n in ast.walk(call) if isinstance(n, ast.Name)}
+    """`_split` hands divisor coordinates to the image table; the two K-class
+    tables hand it class vectors, with the generators bordered by
+    `_on_kclasses`.  No other call builds a table, so each stable set is
+    moved once."""
+    sites = []
+    for name, call in _calls("equivariant", "_image_table"):
+        matrices, vectors, _ = call.args
+        read = {n.attr for n in ast.walk(vectors) if isinstance(n, ast.Attribute)}
+        sites.append((name, set(_called(matrices)) & {"_on_kclasses"}, read))
+    assert sites == [
+        ("_split", set(), {"coords"}),
+        ("atom_multiset", {"_on_kclasses"}, {"vector"}),
+        ("permutation_basis_certificate", {"_on_kclasses"}, {"vector"}),
     ]
-    assert sites == ["_split"]
+
+
+def test_the_image_tables_move_no_item_alone():
+    """The one kernel moves every vector of a table by one column product per
+    matrix: no per-item transport is called in `equivariant`, except the
+    check that a generator fixes K."""
+    transports = {"apply_divisor_matrix", "sigma_kclass", "mat_vec"}
+    callers = sorted(
+        (node.name, callee)
+        for node in MODULES["equivariant"].body
+        if isinstance(node, ast.FunctionDef)
+        for callee in set(_called(node)) & transports
+    )
+    assert callers == [("group_action", "apply_divisor_matrix")]
 
 
 def test_gsets_with_rows_are_built_only_by_the_restriction():
