@@ -1,7 +1,9 @@
 """Link catalog: standard decompositions of rank-one fibre spaces, the
-numerical classification of links, and replayable mutation scripts."""
+numerical classification of links, and replayable mutation scripts.
 
-from ..mutation import serre_power_match
+`core` holds the fibre spaces and the classification, `scripts` the stored
+cases and their replay; the mutation engine itself is `sodatlas.mutation`."""
+
 from .core import (
     LinkDescriptor,
     MoriFibreSpace,
@@ -26,7 +28,6 @@ __all__ = [
     "link_script",
     "opaque_block_for",
     "orthogonal_span",
-    "serre_power_match",
     "standard_sod",
     "validate_link",
     "verify_link",

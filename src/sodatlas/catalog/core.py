@@ -4,13 +4,13 @@ classification of links between them.
 Everything is modeled on the Picard/K lattice: a fibre space is a surface
 model plus a base kind (and the fibration 0-class F when the base is a
 curve).  `MoriFibreSpace` alone decides which fibre spaces exist; over a
-point, degree 8 needs two 0-classes, as F0, F2 and F4 have.  A standard
-decomposition is front blocks followed by the base's own decomposition
-pulled back: (O) over a point, (O(-F), O) over a rational curve.  In the
-birationally rich degrees the front is the degree's explicit blocks, built
-from enumerated r-classes with F taken out of the rulings; otherwise it is
-one opaque block, the span orthogonal to the tail under
-`ktheory.euler_form`.
+point, degree 8 needs two 0-classes, h and s + (d/2)h, which F_d has for
+even d only.  A standard decomposition is front blocks followed by the
+base's own decomposition pulled back: (O) over a point, (O(-F), O) over a
+rational curve.  In the birationally rich degrees the front is the
+degree's explicit blocks, built from the r-classes with F taken out of the
+rulings, each kind enumerated once; otherwise it is one opaque block, the
+span orthogonal to the tail under `ktheory.euler_form`.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ class MoriFibreSpace:
                 raise InputError("a point base takes no fibration class")
             if deg == 7 or not 1 <= deg <= 9:
                 raise InputError(f"no rank-one fibre space of degree {deg} over a point")
-            if deg == 8 and len(s.enumerate_r_classes(0)) != 2:
+            # degree 8 is P2[1] or F_d, and only F_d with even d has two 0-classes
+            if deg == 8 and (s.hirzebruch_d is None or s.hirzebruch_d % 2):
                 raise InputError("a rank-one degree-8 surface over a point carries two rulings")
         elif self.base == "RationalCurve":
             if deg == 7 or deg > 8:
@@ -178,19 +179,20 @@ def standard_sod(mfs: MoriFibreSpace) -> Collection:
         h = s.basis_class("H")
         front = [_line_block(s, [2 * h]), _line_block(s, [h])]
     elif deg == 8:
-        if f is None:
-            rulings = _sorted_classes(s.enumerate_r_classes(0))
+        h = s.basis_class("h")
+        if f is None:  # both rulings, in coordinate order
+            rulings = [h, s.basis_class("s") + s.hirzebruch_d // 2 * h]
         else:
-            rulings = [s.basis_class("s") if f == s.basis_class("h") else s.basis_class("h"), f]
+            rulings = [s.basis_class("s") if f == h else h, f]
         r1, r2 = rulings
         front = [_line_block(s, [r1 + r2]), _line_block(s, [r for r in rulings if r != f])]
     else:  # degrees 6 and 5
-        zeros = [z for z in _sorted_classes(s.enumerate_r_classes(0)) if z != f]
+        zeros = _sorted_classes(s.enumerate_r_classes(0))
         if deg == 6:
             first = _line_block(s, _sorted_classes(s.enumerate_r_classes(1)))
         else:
-            first = block_of_classes([e_bundle_class(s)], labels=["E"])
-        front = [first, _line_block(s, zeros)]
+            first = block_of_classes([_e_bundle(s, zeros)], labels=["E"])
+        front = [first, _line_block(s, [z for z in zeros if z != f])]
     return Collection(s, (*front, *tail))
 
 
@@ -199,7 +201,11 @@ def e_bundle_class(surface: SurfaceModel) -> KClass:
     through all five ruling pairs and checked to be pair-independent."""
     if surface.degree != 5:
         raise InputError(f"expected a degree-5 model, got degree {surface.degree}")
-    zeros = _sorted_classes(surface.enumerate_r_classes(0))
+    return _e_bundle(surface, _sorted_classes(surface.enumerate_r_classes(0)))
+
+
+def _e_bundle(surface: SurfaceModel, zeros) -> KClass:
+    """e_bundle_class from the model's 0-classes `zeros`, in coordinate order."""
     k = surface.canonical
     values = []
     for h in zeros:

@@ -74,8 +74,11 @@ class PostCheck:
 
 @dataclass(frozen=True, eq=False)
 class LinkScript:
+    """One catalog case, parsed at load: the roof, its named classes, the
+    two sides, the moves, the involution if any, and the post checks.  The
+    load also checks a link case's name against `validate_link`."""
+
     case: str
-    descriptor: LinkDescriptor | None
     roof: SurfaceModel
     dictionary: dict[str, DivisorClass]
     side1: Collection
@@ -209,7 +212,6 @@ def _script_from_stanza(case: str, stanza, refinement: bool) -> LinkScript:
         if target != "standard Point":
             raise InputError(f"{case}: unknown target {_quote(target)}")
         side2 = standard_sod(MoriFibreSpace(roof, "Point"))
-        descriptor = None
     else:
         spec2 = stanza_single(stanza, "side2")
         if spec2 == "sigma(side1)":
@@ -218,8 +220,7 @@ def _script_from_stanza(case: str, stanza, refinement: bool) -> LinkScript:
             side2 = _sigma_collection(side1, involution)
         else:
             side2 = parse_side(roof, spec2, names)
-        descriptor = _descriptor_for(case)
-        if not validate_link(descriptor):
+        if not validate_link(_descriptor_for(case)):
             raise InputError(f"{case}: outside the numerical classification")
     moves = parse_script(stanza_single(stanza, "moves"))
     try:
@@ -231,7 +232,6 @@ def _script_from_stanza(case: str, stanza, refinement: bool) -> LinkScript:
         raise InputError(f"{case}: {exc}") from None
     return LinkScript(
         case=case,
-        descriptor=descriptor,
         roof=roof,
         dictionary=names,
         side1=side1,

@@ -37,7 +37,7 @@ from .equivariant import (
     orbits,
 )
 from .errors import InputError, SodatlasError, UnsupportedRangeError
-from .lattice import _QUOTE_LIMIT, SurfaceModel, _quote
+from .lattice import SurfaceModel, _quote, _shown
 from .mutation import VERDICT_OK, _render_blocks, parse_script, run_script
 from .textio import (
     _names_of,
@@ -131,9 +131,7 @@ def _print_gram(gram) -> None:
 def _cmd_classes(args) -> int:
     degree = args.degree
     if not 1 <= degree <= 9:
-        shown = str(degree)
-        shown = shown if len(shown) <= _QUOTE_LIMIT else _quote(shown)
-        raise InputError(f"degree {shown} is outside 1..9")
+        raise InputError(f"degree {_shown(str(degree))} is outside 1..9")
     if degree == 9:
         surface = SurfaceModel("P2", ())
     elif degree == 8:
@@ -221,14 +219,12 @@ def _cmd_group(args) -> int:
     if parts is None:
         print(f"minimality (numerical proxy): unavailable ({reason})")
         return 0
-    proxy = minimality_proxy(action, parts)
-    if proxy["minimal"]:
-        print(f"minimality ({proxy['label']}): minimal")
+    witness = minimality_proxy(action, parts)
+    if witness is None:
+        print("minimality (numerical proxy): minimal")
     else:
-        witness = ", ".join(
-            render_divisor(surface, surface.divisor(tuple(w))) for w in proxy["witness"]
-        )
-        print(f"minimality ({proxy['label']}): not minimal, witness: {witness}")
+        shown = ", ".join(render_divisor(surface, d) for d in witness)
+        print(f"minimality (numerical proxy): not minimal, witness: {shown}")
     return 0
 
 

@@ -51,7 +51,6 @@ from .catalog.core import MoriFibreSpace, standard_sod
 from .errors import ActionError, InputError, UnsupportedRangeError, VerificationError
 from .ktheory import KClass, torsion_class
 from .lattice import DivisorClass, SurfaceModel, apply_divisor_matrix
-from .textio import render_kclass
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -253,8 +252,13 @@ def _orbit_walk(images, n: int) -> list[list[int]]:
 
 def _split(action: GroupAction, classes):
     """A stable class set split once: its classes sorted by coordinates, their
-    image table, and its orbits as sorted position lists, least first."""
+    image table, and its orbits as sorted position lists, least first.  A
+    class of another surface is refused, with or without generators."""
     pool = sorted(set(classes), key=lambda d: d.coords)
+    n = action.surface.picard_rank
+    for d in pool:
+        if len(d.coords) != n:
+            raise ActionError(f"class {d.coords} does not live on {action.surface.describe()}")
     images = _image_table(
         action.generators,
         [d.coords for d in pool],
@@ -501,9 +505,10 @@ def permutation_basis_certificate(surface: SurfaceModel, atoms, action: GroupAct
 
     Fails loudly: any opaque atom, a payload that is not a
     Z-basis, or a generator moving a basis vector off the basis raises
-    ActionError.  The certificate lists the basis and one permutation
-    (with its matrix) per generator; the trivial action gets the identity
-    permutation so the certificate is never empty.
+    ActionError, so a returned certificate always holds.  The basis is the
+    atoms' payloads in atom order; the certificate gives its size and, per
+    generator, the permutation of it and its matrix.  The trivial action
+    gets the identity permutation so the certificate is never empty.
     """
     classes = []
     for atom in atoms:
@@ -531,9 +536,7 @@ def permutation_basis_certificate(surface: SurfaceModel, atoms, action: GroupAct
             mat[dst][src] = 1
         matrices.append(_freeze(mat))
     return {
-        "ok": True,
         "size": want,
-        "basis": [render_kclass(c) for c in classes],
         "permutations": [tuple(perm) for perm in permutations],
         "matrices": matrices,
     }
@@ -541,27 +544,24 @@ def permutation_basis_certificate(surface: SurfaceModel, atoms, action: GroupAct
 
 # -- G-minimality, numerically ---------------------------------------------------
 
-def minimality_proxy(action: GroupAction, parts) -> dict:
-    """No stable set of pairwise-disjoint (-1)-classes exists.
+def minimality_proxy(action: GroupAction, parts) -> tuple[DivisorClass, ...] | None:
+    """The first orbit of pairwise-disjoint (-1)-classes in `parts`, or None
+    when there is none: the action is then minimal by this numerical proxy.
 
     A purely lattice-side stand-in for G-minimality: any stable set of
     pairwise-disjoint (-1)-classes contains a single stable orbit with the
-    same property, so scanning orbits is exhaustive.  The certificate is
-    labeled accordingly; it does not see actual curves.  `parts` is
-    `orbits(action, action.surface.enumerate_r_classes(-1))`.
+    same property, so scanning orbits is exhaustive.  It does not see
+    actual curves.  `parts` is `orbits(action, action.surface.enumerate_r_classes(-1))`.
     """
     surface = action.surface
-    out = {"label": "numerical proxy", "minimal": True, "witness": None}
     for orbit in parts:
         if all(
             surface.intersect(a, b) == 0
             for i, a in enumerate(orbit)
             for b in orbit[i + 1 :]
         ):
-            out["minimal"] = False
-            out["witness"] = [list(d.coords) for d in orbit]
-            break
-    return out
+            return orbit
+    return None
 
 
 # -- H^1 with lattice coefficients ------------------------------------------------

@@ -41,6 +41,12 @@ def _quote(text: str) -> str:
     return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
+def _shown(text: str) -> str:
+    """`text` as an error message shows a number: as it is, or through
+    `_quote` when longer than _QUOTE_LIMIT characters."""
+    return text if len(text) <= _QUOTE_LIMIT else _quote(text)
+
+
 def _parse_int(text: str) -> int:
     try:
         return int(text)
@@ -198,9 +204,7 @@ class SurfaceModel:
 
     def enumerate_r_classes(self, r: int) -> set[DivisorClass]:
         if r not in (-2, -1, 0, 1):
-            shown = str(r)
-            shown = shown if len(shown) <= _QUOTE_LIMIT else _quote(shown)
-            raise InputError(f"r must be one of -2,-1,0,1, got {shown}")
+            raise InputError(f"r must be one of -2,-1,0,1, got {_shown(str(r))}")
         if self.degree < 3 and r >= 0:
             raise UnsupportedRangeError(
                 f"complete enumeration of {r}-classes is only supported in degree >= 3 "

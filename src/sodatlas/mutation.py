@@ -46,7 +46,7 @@ from operator import mul
 from . import intlinalg
 from .errors import InputError, MoveError, UnsupportedRangeError, VerificationError
 from .ktheory import KClass, class_from_vector, euler_form_det, euler_row, twist
-from .lattice import _QUOTE_LIMIT, SurfaceModel, _quote
+from .lattice import SurfaceModel, _quote, _shown
 from .textio import _parse_int, render_kclass
 
 # Largest |n| in `serre a..b ^n`; the catalog uses |n| <= 3 and
@@ -266,53 +266,44 @@ class Move:
     power: int = 0
 
 
-_MOVE_RES = [
-    ("L", re.compile(r"^L\s+(\d+)$")),
-    ("R", re.compile(r"^R\s+(\d+)$")),
-    ("helix-", re.compile(r"^helix\s+-K$")),
-    ("helix+", re.compile(r"^helix\s+\+K$")),
-    ("swap", re.compile(r"^swap\s+(\d+)$")),
-    ("merge", re.compile(r"^merge\s+(\d+)$")),
-    ("split", re.compile(r"^split\s+(\d+)((?:\s+\d+)+)$")),
-    ("serre", re.compile(r"^serre\s+(\d+)\.\.(\d+)\s+\^(-?\d+)$")),
-]
+# The script grammar: one alternative per kind of move, told apart by
+# which named group matched.
+_MOVE_RE = re.compile(
+    r"(?P<indexed>L|R|swap|merge)\s+(?P<index>\d+)"
+    r"|helix\s+(?P<helix>[-+])K"
+    r"|split\s+(?P<at>\d+)(?P<sizes>(?:\s+\d+)+)"
+    r"|serre\s+(?P<a>\d+)\.\.(?P<b>\d+)\s+\^(?P<power>-?\d+)"
+)
 
 
 def parse_move(text: str) -> Move:
     text = text.strip()
-    for kind, rx in _MOVE_RES:
-        m = rx.match(text)
-        if not m:
-            continue
-        if kind in ("L", "R", "swap", "merge"):
-            return Move(kind, index=_parse_int(m.group(1)))
-        if kind in ("helix-", "helix+"):
-            return Move(kind)
-        if kind == "split":
-            sizes = tuple(_parse_int(x) for x in m.group(2).split())
-            return Move(kind, index=_parse_int(m.group(1)), sizes=sizes)
-        rng = (_parse_int(m.group(1)), _parse_int(m.group(2)))
-        return Move(kind, rng=rng, power=_parse_serre_power(m.group(3)))
-    raise InputError(f"cannot parse move {_quote(text)}")
+    m = _MOVE_RE.fullmatch(text)
+    if m is None:
+        raise InputError(f"cannot parse move {_quote(text)}")
+    if m["indexed"]:
+        return Move(m["indexed"], index=_parse_int(m["index"]))
+    if m["helix"]:
+        return Move("helix" + m["helix"])
+    if m["sizes"]:
+        sizes = tuple(_parse_int(x) for x in m["sizes"].split())
+        return Move("split", index=_parse_int(m["at"]), sizes=sizes)
+    rng = (_parse_int(m["a"]), _parse_int(m["b"]))
+    return Move("serre", rng=rng, power=_parse_serre_power(m["power"]))
 
 
 def _parse_serre_power(text: str) -> int:
     n = _parse_int(text)
     if abs(n) > MAX_SERRE_POWER:
-        shown = text if len(text) <= _QUOTE_LIMIT else _quote(text)
-        raise InputError(f"Serre exponent {shown} is above the cap |n| <= {MAX_SERRE_POWER}")
+        raise InputError(f"Serre exponent {_shown(text)} is above the cap |n| <= {MAX_SERRE_POWER}")
     return n
 
 
 def render_move(move: Move) -> str:
-    if move.kind in ("L", "R"):
+    if move.kind in ("L", "R", "swap", "merge"):
         return f"{move.kind} {move.index}"
-    if move.kind == "helix-":
-        return "helix -K"
-    if move.kind == "helix+":
-        return "helix +K"
-    if move.kind in ("swap", "merge"):
-        return f"{move.kind} {move.index}"
+    if move.kind in ("helix-", "helix+"):
+        return f"helix {move.kind[-1]}K"
     if move.kind == "split":
         return f"split {move.index} " + " ".join(str(s) for s in move.sizes)
     if move.kind == "serre":
@@ -629,13 +620,9 @@ def run_script(collection: Collection, moves, case: str = ""):
 
 
 def certificate(case: str, steps, verdict: str) -> dict:
-    gram = steps[-1]["gram"] if steps else []
-    return {
-        "case": case,
-        "steps": steps,
-        "gram": gram,
-        "verdict": verdict,
-    }
+    """A replay's certificate: the case, one record per step (each with its
+    Gram matrix), and the verdict."""
+    return {"case": case, "steps": steps, "verdict": verdict}
 
 
 VERDICT_OK = "equivalent: verified at K-theory level"

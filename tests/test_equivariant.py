@@ -29,6 +29,7 @@ from sodatlas.equivariant import (
 )
 from sodatlas.errors import ActionError, InputError, UnsupportedRangeError
 from sodatlas.lattice import SurfaceModel, apply_divisor_matrix
+from sodatlas.textio import render_kclass
 
 P2 = SurfaceModel("P2")
 BL2 = SurfaceModel("P2", (2,))
@@ -193,6 +194,17 @@ def test_swap_orbit_has_size_two():
     a = group_action(BL2, [perm_matrix(3, {1: 2, 2: 1})])
     parts = orbits(a, BL2.exceptional_classes())
     assert [len(p) for p in parts] == [2]
+
+
+@pytest.mark.parametrize("gens", [[], [perm_matrix(3, {1: 2, 2: 1})]], ids=["trivial", "swap"])
+def test_orbits_refuse_a_class_of_another_surface(gens):
+    action = group_action(BL2, gens)
+    foreign = BL3.basis_class("E1")
+    for split in (orbits, orbit_gset):
+        with pytest.raises(ActionError, match=r"^class \(0, 1, 0, 0\) does not live on P2\[2\]$"):
+            split(action, [foreign])
+        with pytest.raises(ActionError, match="does not live on P2"):
+            split(action, [*BL2.exceptional_classes(), foreign])
 
 
 def test_weyl_action_is_transitive_on_the_ten_minus_one_classes():
@@ -498,7 +510,7 @@ def test_certificate_for_the_plane_with_trivial_action():
     triv = group_action(P2, [])
     atoms = atom_multiset(P2, triv, [MoriFibreSpace(P2, "Point")])
     cert = permutation_basis_certificate(P2, atoms, triv)
-    assert cert["ok"] and cert["size"] == 3
+    assert cert["size"] == 3
     assert cert["permutations"] == [(0, 1, 2)]
 
 
@@ -519,33 +531,31 @@ def test_certificate_for_the_hexagon_action():
     atoms = atom_multiset(BL3, a, [MoriFibreSpace(BL3, "Point")])
     assert sorted(x.gset.size for x in atoms) == [1, 2, 3]
     cert = permutation_basis_certificate(BL3, atoms, a)
-    assert cert["ok"] and cert["size"] == 6
+    assert cert["size"] == 6
     assert len(cert["permutations"]) == 2
 
 
 # criterion 10 of selftest: the plane, a blown orbit of size two, the hexagon
 @pytest.mark.parametrize(
-    "surface, gens, contraction, expected",
+    "surface, gens, contraction, basis, expected",
     [
         (
             P2, [], [MoriFibreSpace(P2, "Point")],
+            ["(1; -2; 0)", "(1; -1; 0)", "(1; 0; 1)"],
             {
-                "ok": True,
                 "size": 3,
-                "basis": ["(1; -2; 0)", "(1; -1; 0)", "(1; 0; 1)"],
                 "permutations": [(0, 1, 2)],
                 "matrices": [((1, 0, 0), (0, 1, 0), (0, 0, 1))],
             },
         ),
         (
             BL2, [perm_matrix(3, {1: 2, 2: 1})], [0, MoriFibreSpace(P2, "Point")],
+            [
+                "(1; -2,0,0; 0)", "(1; -1,0,0; 0)", "(1; 0,0,0; 1)",
+                "(0; 0,0,1; 0)", "(0; 0,1,0; 0)",
+            ],
             {
-                "ok": True,
                 "size": 5,
-                "basis": [
-                    "(1; -2,0,0; 0)", "(1; -1,0,0; 0)", "(1; 0,0,0; 1)",
-                    "(0; 0,0,1; 0)", "(0; 0,1,0; 0)",
-                ],
                 "permutations": [(0, 1, 2, 4, 3)],
                 "matrices": [
                     (
@@ -557,13 +567,12 @@ def test_certificate_for_the_hexagon_action():
         ),
         (
             BL3, [HEX_ROT, perm_matrix(4, {1: 2, 2: 1})], [MoriFibreSpace(BL3, "Point")],
+            [
+                "(1; -1,0,0,0; 0)", "(1; -2,1,1,1; 0)", "(1; -1,1,0,0; 0)",
+                "(1; -1,0,0,1; 0)", "(1; -1,0,1,0; 0)", "(1; 0,0,0,0; 1)",
+            ],
             {
-                "ok": True,
                 "size": 6,
-                "basis": [
-                    "(1; -1,0,0,0; 0)", "(1; -2,1,1,1; 0)", "(1; -1,1,0,0; 0)",
-                    "(1; -1,0,0,1; 0)", "(1; -1,0,1,0; 0)", "(1; 0,0,0,0; 1)",
-                ],
                 "permutations": [(1, 0, 3, 4, 2, 5), (0, 1, 4, 3, 2, 5)],
                 "matrices": [
                     (
@@ -580,9 +589,12 @@ def test_certificate_for_the_hexagon_action():
     ],
     ids=["plane", "blown-pair", "hexagon"],
 )
-def test_certificates_of_the_worked_examples(surface, gens, contraction, expected):
+def test_certificates_of_the_worked_examples(surface, gens, contraction, basis, expected):
+    """`basis` is the atoms' payload in atom order, the basis the
+    permutations act on."""
     action = group_action(surface, gens)
     atoms = atom_multiset(surface, action, contraction)
+    assert [render_kclass(c) for atom in atoms for c in atom.classes] == basis
     assert permutation_basis_certificate(surface, atoms, action) == expected
 
 
@@ -605,20 +617,18 @@ def test_certificate_rejects_an_incomplete_basis():
 
 def test_hexagon_action_is_numerically_minimal():
     action = hexagon_action()
-    report = minimality_proxy(action, orbits(action, BL3.enumerate_r_classes(-1)))
-    assert report == {"label": "numerical proxy", "minimal": True, "witness": None}
+    assert minimality_proxy(action, orbits(action, BL3.enumerate_r_classes(-1))) is None
 
 
 def test_swap_action_is_not_minimal():
     swap = group_action(BL2, [perm_matrix(3, {1: 2, 2: 1})])
-    report = minimality_proxy(swap, orbits(swap, BL2.enumerate_r_classes(-1)))
-    assert not report["minimal"]
-    assert sorted(report["witness"]) == [[0, 0, 1], [0, 1, 0]]
+    witness = minimality_proxy(swap, orbits(swap, BL2.enumerate_r_classes(-1)))
+    assert witness == (BL2.basis_class("E2"), BL2.basis_class("E1"))
 
 
 def test_plane_is_trivially_minimal():
     trivial = group_action(P2, [])
-    assert minimality_proxy(trivial, orbits(trivial, P2.enumerate_r_classes(-1)))["minimal"]
+    assert minimality_proxy(trivial, orbits(trivial, P2.enumerate_r_classes(-1))) is None
 
 
 # -- H^1 -----------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 and `lattice`.  Each class transport and the Euler form is defined in one
 module, beside its type, and every import of it names that module; the
 symmetry layer takes only `MoriFibreSpace` and `standard_sod` from the
-catalog.  `MoriFibreSpace` alone decides which fibre spaces exist, and
+catalog and nothing from `textio`, and the catalog package re-exports only
+its own modules.  `MoriFibreSpace` alone decides which fibre spaces exist, and
 `standard_sod` only builds.  The exact kernels of `intlinalg` stay off the
 Fraction route.  The legality check reads the flat pairings and never
 builds the Gram tuple, which the certificate record builds once.  Serre
@@ -74,7 +75,7 @@ def _imported_modules(module):
 
 def test_the_module_map_is_complete():
     assert {"lattice", "ktheory", "equivariant", "catalog", "catalog.core"} <= set(MODULES)
-    assert _imported_modules("catalog") == {"mutation", "catalog.core", "catalog.scripts"}
+    assert _imported_modules("catalog") == {"catalog.core", "catalog.scripts"}
 
 
 def test_lattice_stands_on_errors_alone():
@@ -102,6 +103,10 @@ def test_each_transport_and_the_euler_form_has_one_home():
         }
         assert importers, name
         assert {target for _, target in importers} == {home}, name
+
+
+def test_the_symmetry_layer_renders_nothing():
+    assert "textio" not in _imported_modules("equivariant")
 
 
 def test_the_symmetry_layer_takes_two_names_from_the_catalog():

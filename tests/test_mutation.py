@@ -1,8 +1,11 @@
 """Mutation engine: legality reports, move semantics, scripts, search."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sodatlas import mutation
 from sodatlas.errors import InputError, MoveError, UnsupportedRangeError, VerificationError
@@ -14,8 +17,8 @@ from sodatlas.ktheory import (
     torsion_class,
     twist,
 )
-from sodatlas.catalog import MoriFibreSpace, standard_sod
-from sodatlas.lattice import SurfaceModel
+from sodatlas.catalog import MoriFibreSpace, catalog_ids, link_script, standard_sod
+from sodatlas.lattice import SurfaceModel, _quote
 from sodatlas.mutation import (
     MAX_SERRE_POWER,
     Block,
@@ -28,6 +31,7 @@ from sodatlas.mutation import (
     check_collection,
     collection_of_classes,
     collections_equal,
+    _parse_serre_power,
     parse_move,
     parse_script,
     render_move,
@@ -37,7 +41,7 @@ from sodatlas.mutation import (
     serre_power_match,
     subcategory_serre_matrix,
 )
-from sodatlas.textio import render_kclass
+from sodatlas.textio import _parse_int, render_kclass
 
 P2 = SurfaceModel("P2")
 H = P2.basis_class("H")
@@ -127,6 +131,73 @@ def test_move_parse_render_roundtrip():
         parse_move("twist 3")
     with pytest.raises(InputError):
         parse_move("serre 1..2")
+    with pytest.raises(InputError, match="^unknown move kind 'twist'$"):
+        render_move(Move("twist", index=3))
+
+
+def test_every_catalog_script_survives_a_render_and_parse():
+    for case in catalog_ids():
+        moves = link_script(case).moves
+        assert parse_script(render_script(moves)) == moves, case
+
+
+# The move grammar as eight regexes, one per kind, tried in turn.
+_FORMER_MOVE_RES = [
+    ("L", re.compile(r"^L\s+(\d+)$")),
+    ("R", re.compile(r"^R\s+(\d+)$")),
+    ("helix-", re.compile(r"^helix\s+-K$")),
+    ("helix+", re.compile(r"^helix\s+\+K$")),
+    ("swap", re.compile(r"^swap\s+(\d+)$")),
+    ("merge", re.compile(r"^merge\s+(\d+)$")),
+    ("split", re.compile(r"^split\s+(\d+)((?:\s+\d+)+)$")),
+    ("serre", re.compile(r"^serre\s+(\d+)\.\.(\d+)\s+\^(-?\d+)$")),
+]
+
+
+def _former_parse_move(text):
+    text = text.strip()
+    for kind, rx in _FORMER_MOVE_RES:
+        m = rx.match(text)
+        if not m:
+            continue
+        if kind in ("L", "R", "swap", "merge"):
+            return Move(kind, index=_parse_int(m.group(1)))
+        if kind in ("helix-", "helix+"):
+            return Move(kind)
+        if kind == "split":
+            sizes = tuple(_parse_int(x) for x in m.group(2).split())
+            return Move(kind, index=_parse_int(m.group(1)), sizes=sizes)
+        rng = (_parse_int(m.group(1)), _parse_int(m.group(2)))
+        return Move(kind, rng=rng, power=_parse_serre_power(m.group(3)))
+    raise InputError(f"cannot parse move {_quote(text)}")
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except InputError as exc:
+        return str(exc)
+
+
+MOVE_TEXTS = (
+    "L 2", " R\t10 ", "L2", "L 2 3", "l 2", "L -2", "L +2", "L 0", "L 007",
+    "helix -K", "helix  +K", "helix K", "helix -K2", "helix - K", "helix",
+    "swap 1", "merge 4", "swap", "split 2 1 2", "split 2", "split 2 1 x", "split 1 0",
+    "serre 1..4 ^-3", "serre 1..4 ^+3", "serre 1..4 -3", "serre 1..4", "serre 1...4 ^3",
+    "serre 4..1 ^0", "serre 1..1 ^65", "serre 1..1 ^-64", "serre 1..1 ^" + "9" * 4000,
+    "L " + "1" * 5000, "split 1 " + "2" * 4400, "L 2\nR 1", "", "twist 3",
+)
+
+
+def test_the_move_grammar_parses_as_the_eight_regexes_did():
+    for text in MOVE_TEXTS:
+        assert _parsed(parse_move, text) == _parsed(_former_parse_move, text), text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(alphabet="LRhelixswapmergsplitr.^+-K0123 \t", max_size=16))
+def test_the_move_grammar_agrees_on_random_texts(text):
+    assert _parsed(parse_move, text) == _parsed(_former_parse_move, text)
 
 
 def test_serre_exponent_is_capped():

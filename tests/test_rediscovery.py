@@ -11,7 +11,14 @@ scripts stay as they are; they are certificate bytes.
 import pytest
 
 from sodatlas.catalog.scripts import catalog_ids, link_script
-from sodatlas.mutation import DEFAULT_SEARCH_KINDS, collections_equal, run_script, search_path
+from sodatlas.mutation import (
+    DEFAULT_SEARCH_KINDS,
+    collections_equal,
+    parse_script,
+    render_script,
+    run_script,
+    search_path,
+)
 
 DISTANCES = {
     "I-9-8": 3, "I-9-5": 4, "I-8-6": 3, "I-4-3": 4,
@@ -42,5 +49,6 @@ def test_search_rediscovers_the_link(case):
     script = link_script(case)
     word = search_path(script.side1, script.side2, max_depth=len(script.moves))
     assert word is not None and len(word) == DISTANCES[case]
+    assert parse_script(render_script(word)) == word
     final, _ = run_script(script.side1, word)
     assert collections_equal(final, script.side2)

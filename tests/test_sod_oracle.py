@@ -13,6 +13,9 @@ genus-1 curve, with no fibration class, each 0-class and each basis class.
 Below degree 3, where the 0-classes are not enumerated, the plane's
 candidates take H - E1 instead, so that conic bundles of degree 2, 1 and 0
 build and the genus-1 curve reaches its range check.
+
+Each accepted fibre space enumerates each kind of r-class at most once,
+construction and build together.
 """
 
 from functools import lru_cache
@@ -205,3 +208,30 @@ def test_rich_exactly_when_no_block_is_opaque():
             s, base, genus, f = args
             mfs = MoriFibreSpace(s, base, genus=genus, fibration_class=f)
             assert birationally_rich(mfs) == (not any(opaque for opaque, _, _ in new[1]))
+
+
+def test_hirzebruch_surfaces_past_the_family_match_over_a_point():
+    """Degree 8 over a point reads its rulings off d; F5 to F12 against the
+    enumerating oracle."""
+    for d in range(5, 13):
+        args = (SurfaceModel(f"F{d}"), "Point", 0, None)
+        new = _outcome(MoriFibreSpace, standard_sod, *args)
+        assert new[1] == _outcome(_old_construct, _old_standard_sod, *args)[1], d
+        assert new[0] == ("construct" if d % 2 else "ok"), d
+
+
+def test_each_fibre_space_enumerates_each_kind_of_class_once(monkeypatch):
+    accepted = [args for args, _, new in _outcomes() if new[0] == "ok"]
+    asked = []
+    enumerate_r_classes = SurfaceModel.enumerate_r_classes
+
+    def counted(self, r):
+        asked.append(r)
+        return enumerate_r_classes(self, r)
+
+    monkeypatch.setattr(SurfaceModel, "enumerate_r_classes", counted)
+    for args in accepted:
+        asked.clear()
+        standard_sod(MoriFibreSpace(*args))
+        assert len(asked) == len(set(asked)), (args[0].describe(), args[1], args[3], asked)
+    assert len(accepted) == 5868
