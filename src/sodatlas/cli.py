@@ -93,7 +93,7 @@ def _load_action(path: str, surface: SurfaceModel | None):
         surface = _surface_of(stanza, path)
     elif "model" in stanza:
         stated = stanza_single(stanza, "model")
-        if parse_surface_spec(stated).describe() != surface.describe():
+        if parse_surface_spec(stated) != surface:
             raise InputError(f"{path}: model {stated!r} does not match {surface.describe()}")
     gens = [parse_matrix(text) for text in stanza.get("gen", [])]
     return surface, group_action(surface, gens)

@@ -11,64 +11,47 @@ from .errors import InputError
 from .ktheory import KClass
 from .lattice import DivisorClass, SurfaceModel, _parse_int, _quote
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<sign>[+-])|(?P<int>\d+)|(?P<star>\*)|(?P<name>[A-Za-z][A-Za-z0-9']*))")
+_TERM_RE = re.compile(r"\s*(?P<signs>(?:[+-]\s*)*)(?:(?P<n>\d+)\s*(?:\*\s*)?)?(?P<name>[A-Za-z][A-Za-z0-9']*)")
 _SURFACE_RE = re.compile(r"^(?P<base>P2|F\d+)\s*(?:\[(?P<orbits>[0-9,\s]*)\])?$")
 
 
 def parse_surface_spec(text: str) -> SurfaceModel:
-    """`P2`, `F0`, `P2[3,2]`, `F0[2]` and friends."""
+    """`P2`, `F0`, `P2[3,2]`, `F0[2]` and friends: a base, then optionally
+    the orbit sizes in brackets, separated by commas.  Spaces may stand
+    around a size, not inside one, and no size may be empty: `P2[]` and
+    `P2[3, 2]` parse, `P2[1 2]`, `P2[1,,2]` and `P2[,]` do not."""
     m = _SURFACE_RE.match(text.strip())
     if not m:
         raise InputError(f"cannot parse surface spec {_quote(text)}")
-    orbits = tuple(
-        _parse_int(x) for x in (m.group("orbits") or "").replace(" ", "").split(",") if x
-    )
+    items = m.group("orbits") or ""
+    orbits = tuple(_parse_int(x) for x in items.split(",")) if items.strip() else ()
     return SurfaceModel(m.group("base"), orbits)
 
 
 def parse_divisor(surface: SurfaceModel, text: str, names: dict[str, DivisorClass] | None = None) -> DivisorClass:
-    """Parse `2H - E1 - E2 + K` style expressions.  `names` adds aliases on
-    top of the basis labels and K."""
+    """Parse `2H - E1 - E2 + K` style expressions: `0`, or a sum of terms
+    `[signs] [n [*]] name`.  The signs are any run of `+` and `-`, and an odd
+    number of `-` negates the term; every term after the first starts with a
+    sign, so `2H E1` is refused.  A name is a basis label or K; `names` adds
+    aliases on top of both."""
     names = names or {}
-    pos = 0
-    total = surface.zero_divisor()
     text = text.strip()
+    coords = [0] * surface.picard_rank
     if text == "0":
-        return total
-    expect_term = True
-    sign = 1
-    coeff: int | None = None
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise InputError(f"cannot tokenize divisor expression {_quote(text)} at {pos}")
+        return DivisorClass(tuple(coords))
+    pos = 0
+    while True:
+        m = _TERM_RE.match(text, pos)
+        if not m or (pos and not m.group("signs")):
+            raise InputError(f"cannot parse divisor expression {_quote(text)} at {pos}")
+        signs, digits, name = m.group("signs", "n", "name")
+        k = (-1) ** signs.count("-") * (_parse_int(digits) if digits else 1)
+        base = names[name] if name in names else surface.basis_class(name)
+        for i, x in enumerate(base.coords):
+            coords[i] += k * x
         pos = m.end()
-        if m.group("sign"):
-            if coeff is not None:
-                raise InputError(f"dangling coefficient in {_quote(text)}")
-            if not expect_term:
-                expect_term = True
-                sign = 1 if m.group("sign") == "+" else -1
-            else:
-                sign *= 1 if m.group("sign") == "+" else -1
-        elif m.group("int"):
-            if coeff is not None:
-                raise InputError(f"two coefficients in a row in {_quote(text)}")
-            coeff = int(m.group("int"))
-        elif m.group("star"):
-            if coeff is None:
-                raise InputError(f"stray '*' in {_quote(text)}")
-        else:
-            name = m.group("name")
-            if name in names:
-                base = names[name]
-            else:
-                base = surface.basis_class(name)
-            total = total + (sign * (coeff if coeff is not None else 1)) * base
-            sign, coeff, expect_term = 1, None, False
-    if coeff is not None or expect_term:
-        raise InputError(f"incomplete divisor expression {_quote(text)}")
-    return total
+        if pos == len(text):
+            return DivisorClass(tuple(coords))
 
 
 def render_divisor(surface: SurfaceModel, d: DivisorClass) -> str:
@@ -177,10 +160,5 @@ def parse_matrix(text: str) -> list[list[int]]:
 
 def parse_surface_stanza(stanza: dict[str, list[str]]) -> SurfaceModel:
     base = stanza_single(stanza, "base")
-    blowups = stanza.get("blowups")
-    orbits: tuple[int, ...] = ()
-    if blowups:
-        if len(blowups) > 1:
-            raise InputError("blowups given more than once")
-        orbits = tuple(parse_int_list(blowups[0]))
-    return SurfaceModel(base.strip(), orbits)
+    orbits = parse_int_list(stanza_single(stanza, "blowups", "[]"))
+    return SurfaceModel(base.strip(), tuple(orbits))

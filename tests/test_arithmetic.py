@@ -16,8 +16,10 @@ from sodatlas.arithmetic import (
     parse_profiles,
     same_nontrivial_atoms,
 )
-from sodatlas.equivariant import opaque_atom
+from sodatlas.catalog.core import MoriFibreSpace
+from sodatlas.equivariant import atom_multiset, group_action, opaque_atom
 from sodatlas.errors import InputError
+from sodatlas.lattice import SurfaceModel
 
 TRIV = SmallAtom(1, 1, "0")
 A3 = SmallAtom(1, 3, "a3")
@@ -279,3 +281,21 @@ def test_builtin_profiles_satisfy_the_index_formula():
     assert dam_order(profiles["severi-brauer-nonsplit"]) == 9
     assert dam_order(profiles["minimal-degree8"]) == 8
     assert dam_order(profiles["conic-product"]) == 8
+
+
+# Each bundled profile with a lattice model over a point (the Galois image
+# acting on Pic: no group or the ruling swap of F0) and its atom sizes.
+_LATTICE_MODELS = {
+    "severi-brauer-nonsplit": ("P2", [], [1, 1, 1]),
+    "minimal-degree8": ("F0", [[[0, 1], [1, 0]]], [1, 1, 2]),
+    "conic-product": ("F0", [], [1, 1, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LATTICE_MODELS))
+def test_builtin_field_degrees_are_the_atom_sizes_of_a_lattice_model(name):
+    base, gens, sizes = _LATTICE_MODELS[name]
+    surface = SurfaceModel(base)
+    atoms = atom_multiset(surface, group_action(surface, gens), [MoriFibreSpace(surface, "Point")])
+    assert sorted(a.gset.size for a in atoms) == sizes
+    assert sorted(a.field_degree for a in builtin_profiles()[name].atoms) == sizes

@@ -120,6 +120,25 @@ def test_sod_rejects_two_sections(tmp_path, capsys):
     code, _, err = run(capsys, "sod", "--surface", str(f))
     assert code == 2 and "exactly one" in err
 
+# Malformed surface files: each exits 2 with one error line and no output.
+@pytest.mark.parametrize(
+    "lines, want_err",
+    [
+        ("model = F0\nover = RationalCurve\nfibre = " + "9" * 5000 + "h",
+         "error: expected an integer, got '" + "9" * 200 + "'... (5000 characters)\n"),
+        ("model = P2[1]\nover = RationalCurve\nfibre = H E1",
+         "error: cannot parse divisor expression 'H E1' at 1\n"),
+        ("model = P2[1 2]", "error: expected an integer, got '1 2'\n"),
+        ("base = P2\nblowups = [1]\nblowups = [2]", "error: key 'blowups' given 2 times, expected once\n"),
+    ],
+    ids=["overlong-fibre-coefficient", "juxtaposed-fibre-terms", "space-inside-orbit-size", "repeated-blowups"],
+)
+def test_sod_refuses_a_malformed_surface_file(tmp_path, capsys, lines, want_err):
+    f = tmp_path / "surface.cfg"
+    f.write_text(f"[surface]\n{lines}\n")
+    code, out, err = run(capsys, "sod", "--surface", str(f))
+    assert (code, out, err) == (2, "", want_err)
+
 
 # Degree-8 models and a positive-genus base at the edge of what is a fibre
 # space: the constructor refuses them with these texts, or they build.

@@ -667,6 +667,25 @@ def test_h1_of_the_hexagon_action_vanishes():
     assert h1_picard(hexagon_action()) == []
 
 
+def _de_jonquieres(n):
+    """The involution of F0[n], n even: E_i -> h - E_i, h -> h and
+    s -> s + (n/2)h - sum E_i, as columns over (s, h, E1..En)."""
+    cols = [[1, n // 2] + [-1] * n, [0, 1] + [0] * n]
+    cols += [[0, 1] + [-(j == i) for j in range(n)] for i in range(n)]
+    return [list(row) for row in zip(*cols)]
+
+
+@pytest.mark.parametrize("n", range(2, 21, 2))
+def test_h1_of_the_de_jonquieres_involution_is_the_closed_form(n):
+    # (Z/2)^(n-2): the hyperelliptic fixed curve of genus g = (n - 2)/2 gives (Z/2)^(2g)
+    surface = SurfaceModel("F0", (n,))
+    gen = _de_jonquieres(n)
+    action = group_action(surface, [gen])
+    assert action.order == 2
+    assert invariant_rank(action) == 2
+    assert h1_picard(action) == h1_lattice([gen]) == h1_cyclic(gen) == [2] * (n - 2)
+
+
 def test_h1_of_a_verified_permutation_module_vanishes():
     a = hexagon_action()
     atoms = atom_multiset(BL3, a, [MoriFibreSpace(BL3, "Point")])

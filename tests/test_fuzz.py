@@ -45,13 +45,16 @@ def _surface(draw):
 
 
 def _divisor(labels):
-    term = st.tuples(st.integers(-3, 3), st.sampled_from(labels + ["K", "E9", "Q"]))
+    """A divisor expression; now and then two terms meet with no sign between
+    them, a `*` is doubled or a coefficient has 5,000 digits."""
+    coeff = st.sampled_from([*range(-3, 4), "2**", "9" * 5000])
+    term = st.tuples(coeff, st.sampled_from(labels + ["K", "E9", "Q"]))
 
-    def render(terms):
-        text = " + ".join(name if c == 1 else f"{c}{name}" for c, name in terms)
+    def render(terms, joiner):
+        text = joiner.join(name if c == 1 else f"{c}{name}" for c, name in terms)
         return text.replace("+ -", "- ") or "0"
 
-    return st.lists(term, max_size=3).map(render)
+    return st.builds(render, st.lists(term, max_size=3), st.sampled_from([" + "] * 4 + [" ", ""]))
 
 
 def _object(labels):
@@ -244,17 +247,21 @@ def _orbit_list(orbits):
 @st.composite
 def _spec(draw):
     """A `model =` surface spec: mostly legal, with extreme orbit counts,
-    overlong integers and a few shapes the grammar rejects."""
+    overlong integers, spaces inside the orbit list, empty orbit items and a
+    few shapes the grammar rejects."""
     base = draw(st.sampled_from(["P2", "P2", "F0", "F1", "F2", "F3", "Q"]))
     kind = draw(st.integers(0, 9))
     if kind == 0:
-        return draw(st.sampled_from(["P2[", "P2[1,,2]", "F", "P2[-1]", ""]))
+        return draw(st.sampled_from(["P2[", "P2[1,,2]", "P2[,]", "P2[ ]", "F", "P2[-1]", ""]))
     if kind == 1:
         return base + "[" + draw(_HUGE_INT).lstrip("-") + "]"
     if kind == 2:
         return "F" + draw(_HUGE_INT).lstrip("-")
     orbits = draw(_ORBITS)
-    return base + (_orbit_list(orbits).replace(" ", "") if orbits else "")
+    if not orbits:
+        return base
+    sep = draw(st.sampled_from([",", ",", ", ", " , ", " ", ",,"]))
+    return base + "[" + sep.join(map(str, orbits)) + "]"
 
 
 @st.composite
@@ -278,7 +285,9 @@ def surface_files(draw):
     if over is not None:
         lines.append(f"over = {over}")
     if draw(st.booleans()):
-        fibre = draw(st.sampled_from(["h", "s", "H - E1", "E1", "H - E1 - E2 +", "F", "0"]))
+        fibre = draw(
+            st.sampled_from(["h", "s", "H - E1", "E1", "H - E1 - E2 +", "F", "0", "H E1", "9" * 5000 + "h"])
+        )
         lines.append(f"fibre = {fibre}")
     if draw(st.integers(0, 3)) == 3:
         lines.append(f"genus = {draw(st.one_of(st.integers(-1, 3).map(str), _HUGE_INT))}")
@@ -289,6 +298,8 @@ def surface_files(draw):
 @given(surface=surface_files())
 @example(surface="[surface]\nmodel = P2[20000]\nover = RationalCurve\nfibre = H - E1\n")
 @example(surface="[surface]\nmodel = P2[100]\nover = RationalCurve\nfibre = H - E1\n")
+@example(surface="[surface]\nmodel = F0\nover = RationalCurve\nfibre = " + "9" * 5000 + "h\n")
+@example(surface="[surface]\nmodel = P2[1 2]\n")
 @example(surface="[surface]\nbase = P2\nblowups = [" + ", ".join(["9" * 4300] * 2) + "]\n")
 @example(surface="[surface]\nbase = F0\nblowups = " + "[" * 100_000 + "1" + "]" * 100_000 + "\n")
 def test_sod_never_raises(workdir, surface):
